@@ -1,32 +1,32 @@
-//! End-to-end engine throughput: the seed per-tuple data plane
-//! (`Message::Tuple`, one channel op + one counter increment + one clock
-//! read per tuple) against the batched plane (`Message::TupleBatch`,
-//! pooled buffers, one channel op / `Counter::add(n)` / clock read per
-//! batch).
+//! End-to-end engine throughput of the batched data plane
+//! (`Message::TupleBatch`, pooled buffers, one channel op /
+//! `Counter::add(n)` / clock read per batch) across batch sizes and
+//! worker counts.
 //!
-//! Four measurement groups, all on a hash-routed Zipf word count (no
+//! Three measurement groups, all on a hash-routed Zipf word count (no
 //! rebalances, so the data plane — not the scheduler — is what moves):
 //!
-//! 1. **seed vs batched at the paper's default config** — Tab. II skew
-//!    (`z = 0.85`) through `EngineConfig::default()` (4 workers, batch
-//!    256, spin 500). The tuples/sec ratio is the acceptance number.
-//! 2. **batch-size sweep** — 1, 16, 64, 256, 1024 at the default worker
-//!    count. Batch 1 ships one-tuple batches through the pooled path and
-//!    must not regress against the seed shape.
-//! 3. **worker-count sweep** — seed vs batch-256 at 2 and 4 workers.
-//! 4. **flight-recorder overhead guard** — the default batched shape
-//!    with the trace recorder on vs off, best-of-5 in every mode; the
+//! 1. **batch-size sweep** — 1, 16, 64, 256, 1024 at the paper's default
+//!    config (Tab. II skew `z = 0.85` through `EngineConfig::default()`:
+//!    4 workers, spin 500). Batch 1 ships one-tuple batches through the
+//!    same pooled path.
+//! 2. **worker-count sweep** — batch 256 at 2 and 4 workers.
+//! 3. **flight-recorder overhead guard** — the default batched shape
+//!    with the trace recorder on vs off, best-of-20 in every mode; the
 //!    on/off ratio is committed as `trace_overhead_ratio` and the run
 //!    *aborts* below 0.97, so a hot-path recording regression fails CI.
 //!
-//! Each configuration runs `REPS` times over an identical pre-generated
+//! Each configuration runs four times over an identical pre-generated
 //! tuple sequence; the mean and best (max) throughput are reported. The
 //! results are printed and written to `bench_results/engine.json`
 //! (hand-rolled writer, no serde) so future PRs can diff the trajectory.
 //! `--test` (as passed by the CI smoke step via `cargo bench --bench
-//! engine -- --test`) shrinks the workload and writes to
-//! `bench_results/engine.smoke.json` instead, so noisy smoke numbers can
-//! never clobber the committed full-run file.
+//! engine -- --test`) runs each shape once instead of four times and
+//! writes to `bench_results/engine.smoke.json` instead, so noisy smoke
+//! numbers can never clobber the committed full-run file. Its runs keep
+//! the full size (480k tuples, about 0.25 s at batch 256 on a 2-vCPU
+//! Xeon host): shorter runs put thread start-up and scheduling jitter
+//! in the same range as the overhead guard's 3%.
 
 use streambal_baselines::HashPartitioner;
 use streambal_bench::json::{write_json, Json};
@@ -42,19 +42,13 @@ const SEED: u64 = 42;
 /// One measured configuration.
 #[derive(Clone, Copy)]
 struct Shape {
-    /// `true` = the seed per-tuple data plane.
-    per_tuple: bool,
     batch: usize,
     workers: usize,
 }
 
 impl Shape {
     fn label(&self) -> String {
-        if self.per_tuple {
-            format!("seed_per_tuple/w{}", self.workers)
-        } else {
-            format!("batched/b{}/w{}", self.batch, self.workers)
-        }
+        format!("batched/b{}/w{}", self.batch, self.workers)
     }
 }
 
@@ -68,7 +62,6 @@ fn run_once(shape: Shape, intervals: &[Vec<Key>], trace: bool) -> f64 {
         n_workers: shape.workers,
         max_workers: shape.workers,
         batch_size: shape.batch,
-        per_tuple: shape.per_tuple,
         trace,
         ..EngineConfig::default()
     };
@@ -103,39 +96,27 @@ fn max(xs: &[f64]) -> f64 {
 
 fn main() {
     // `cargo bench --bench engine -- --test` (the CI smoke step) passes
-    // `--test`; shrink the workload but keep the JSON emission.
+    // `--test`: one rep per shape instead of four, but runs of the full
+    // size, so the overhead guard measures the same thing in both.
     let smoke = std::env::args().any(|a| a == "--test");
-    let (tuples, n_intervals, reps) = if smoke {
-        (5_000, 2, 1)
-    } else {
-        (120_000, 4, 4)
-    };
+    let (tuples, n_intervals) = (120_000, 4);
+    let reps = if smoke { 1 } else { 4 };
     let intervals = make_intervals(tuples, n_intervals);
     let default_workers = EngineConfig::default().n_workers;
 
-    let mut shapes: Vec<Shape> = Vec::new();
-    for workers in [2, default_workers] {
-        shapes.push(Shape {
-            per_tuple: true,
-            batch: 1,
-            workers,
-        });
-    }
-    for batch in [1usize, 16, 64, 256, 1024] {
-        shapes.push(Shape {
-            per_tuple: false,
+    let mut shapes: Vec<Shape> = [1usize, 16, 64, 256, 1024]
+        .into_iter()
+        .map(|batch| Shape {
             batch,
             workers: default_workers,
-        });
-    }
+        })
+        .collect();
     shapes.push(Shape {
-        per_tuple: false,
         batch: 256,
         workers: 2,
     });
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut best: Vec<(String, f64)> = Vec::new();
     println!(
         "engine throughput: {} tuples/run, {} reps (z={ZIPF_Z}, K={KEY_DOMAIN}, spin={})",
         tuples * n_intervals as u64,
@@ -155,10 +136,8 @@ fn main() {
             m,
             b
         );
-        best.push((shape.label(), b));
         rows.push(Json::obj([
             ("id", Json::str(shape.label())),
-            ("per_tuple", Json::Bool(shape.per_tuple)),
             ("batch", Json::Int(shape.batch as u64)),
             ("workers", Json::Int(shape.workers as u64)),
             ("mean_tuples_per_sec", Json::Num(m)),
@@ -173,20 +152,26 @@ fn main() {
     // data-plane cost is two counter adds per batch, so the ratio should
     // sit at 1.0; the assert holds it above 0.97 (≤ 3% overhead) and is
     // deliberately blocking — an accidental per-tuple record() or lock
-    // on the hot path fails the bench, not just a review.
-    const OVERHEAD_REPS: usize = 5;
+    // on the hot path fails the bench, not just a review. A single run
+    // on a shared 2-vCPU host varies by ±10%, so each arm's best needs
+    // many reps before two of them agree to within the 3% band.
+    const OVERHEAD_REPS: usize = 20;
     let overhead_shape = Shape {
-        per_tuple: false,
         batch: 256,
         workers: default_workers,
     };
     let _ = run_once(overhead_shape, &intervals, true);
-    let trace_on: Vec<f64> = (0..OVERHEAD_REPS)
-        .map(|_| run_once(overhead_shape, &intervals, true))
-        .collect();
-    let trace_off: Vec<f64> = (0..OVERHEAD_REPS)
-        .map(|_| run_once(overhead_shape, &intervals, false))
-        .collect();
+    // The arms alternate (on-off, off-on, ...), so a slow stretch of a
+    // shared host slows both rather than whichever arm happened to run
+    // through it, and neither arm always runs first.
+    let mut trace_on: Vec<f64> = Vec::with_capacity(OVERHEAD_REPS);
+    let mut trace_off: Vec<f64> = Vec::with_capacity(OVERHEAD_REPS);
+    for rep in 0..OVERHEAD_REPS {
+        for trace in [rep % 2 == 0, rep % 2 == 1] {
+            let tps = run_once(overhead_shape, &intervals, trace);
+            if trace { &mut trace_on } else { &mut trace_off }.push(tps);
+        }
+    }
     let trace_overhead_ratio = max(&trace_on) / max(&trace_off);
     println!(
         "  trace overhead: on {:>10.0} t/s   off {:>10.0} t/s   ratio {:.4}",
@@ -201,15 +186,6 @@ fn main() {
          stay at two counter adds per batch"
     );
 
-    let get = |id: &str| best.iter().find(|(l, _)| l == id).map(|&(_, v)| v);
-    let seed_default = get(&format!("seed_per_tuple/w{default_workers}"));
-    let batched_default = get(&format!("batched/b256/w{default_workers}"));
-    let batched_one = get(&format!("batched/b1/w{default_workers}"));
-    let ratio = |a: Option<f64>, b: Option<f64>| match (a, b) {
-        (Some(x), Some(y)) if y > 0.0 => Json::Num(x / y),
-        _ => Json::Num(f64::NAN),
-    };
-
     let doc = Json::obj([
         ("bench", Json::str("engine")),
         ("key_domain", Json::Int(KEY_DOMAIN as u64)),
@@ -222,25 +198,9 @@ fn main() {
         ("default_workers", Json::Int(default_workers as u64)),
         ("smoke", Json::Bool(smoke)),
         ("results", Json::Arr(rows)),
-        // The acceptance ratios, on best-of-reps (noise-robust) numbers:
-        // batched-at-default vs the seed shape, and batch-size-1 vs the
-        // seed shape (the no-regression guard).
-        (
-            "speedup_batched_vs_seed_default",
-            ratio(batched_default, seed_default),
-        ),
-        ("ratio_batch1_vs_seed", ratio(batched_one, seed_default)),
-        // Flight-recorder cost at the default shape (on/off, best-of-5);
+        // Flight-recorder cost at the default shape (on/off, best-of-20);
         // the run aborts above if this drops below 0.97.
         ("trace_overhead_ratio", Json::Num(trace_overhead_ratio)),
-        // batch_size = 1 degenerates to the identical scalar data plane
-        // (see EngineConfig::batch_size), so this ratio's deviation from
-        // 1.0 is pure run-to-run measurement noise, not a code-path
-        // difference.
-        (
-            "note_batch1",
-            Json::str("batch 1 runs the same scalar plane as the seed shape"),
-        ),
     ]);
     // Anchored at the workspace root (cargo runs bench binaries with the
     // package dir as CWD). Smoke runs go to a separate, untracked path so

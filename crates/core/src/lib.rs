@@ -61,7 +61,6 @@
 
 pub mod compact;
 pub mod discretize;
-pub mod intern;
 pub mod key;
 pub mod llfd;
 pub mod load;
@@ -75,7 +74,6 @@ pub mod routing;
 pub mod simple;
 pub mod stats;
 
-pub use intern::KeyInterner;
 pub use key::{Key, TaskId};
 pub use load::{balance_indicator, loads_of, max_skewness, needs_rebalance, LoadSummary};
 pub use migration::{migration_delta, MigrationPlan, Move};

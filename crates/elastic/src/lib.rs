@@ -4,9 +4,10 @@
 //! decisions driving downstream parallelism, the decision layer the paper
 //! motivates but leaves to a single hard-coded scale-out experiment
 //! (Fig. 15). Both drivers consult the same [`ElasticityPolicy`] at every
-//! interval boundary — the simulator through `run_sim_elastic`, the engine
-//! through `EngineConfig::elasticity` — so a policy's decision trace is
-//! identical across them for matching load observations.
+//! interval boundary — the simulator through the `SimHooks` of
+//! `run_sim_elastic`, the engine through `EngineConfig::elasticity` — so
+//! a policy's decision trace is identical across them for matching load
+//! observations.
 //!
 //! ## The observation
 //!

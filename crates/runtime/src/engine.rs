@@ -13,7 +13,6 @@
 //! "tuple" replaced by "batch".
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,11 +20,11 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, SendTimeoutError, Sender};
 use streambal_core::{Key, Partitioner, RoutingView, TaskId};
 use streambal_elastic::{
-    choose_replicas, ElasticityPolicy, FixedSchedule, HoldPolicy, IntervalObservation,
-    ScaleDecision, SplitDecision, SplitObservation, SplitPolicy,
+    choose_replicas, ElasticityPolicy, HoldPolicy, IntervalObservation, ScaleDecision,
+    SplitDecision, SplitObservation, SplitPolicy,
 };
 use streambal_hashring::{FxHashMap, FxHashSet};
-use streambal_metrics::{Counter, Histogram, RateMeter, TimeSeries};
+use streambal_metrics::{Counter, Histogram, TimeSeries};
 use streambal_trace::{OpLabel, Outcome, Phase, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
 
 use crate::controller::{ClosedRound, StatsLedger, WorkerSeconds};
@@ -62,16 +61,9 @@ pub struct EngineConfig {
     /// buffers shipped as one [`Message::TupleBatch`] per destination
     /// touched. The source drains pause/resume/view updates every
     /// `max(batch_size, 256)` staged tuples, bounding how many tuples can
-    /// be routed under a stale view. `1` degenerates to scalar
-    /// [`Message::Tuple`] sends — a one-tuple batch buys no amortization
-    /// and would only pay the buffer indirection — so the batched plane
-    /// never regresses below the seed shape at any batch size.
+    /// be routed under a stale view. `1` ships one-tuple batches through
+    /// the same pooled path: there is one data plane at every batch size.
     pub batch_size: usize,
-    /// Ship every tuple as an individual [`Message::Tuple`] with
-    /// per-tuple clock reads and counter increments — the seed data
-    /// plane, kept so benchmarks can measure the batched plane against
-    /// it.
-    pub per_tuple: bool,
     /// Busy-work iterations per tuple — calibrates per-tuple CPU cost so
     /// the workers saturate, as the paper's experiments arrange.
     pub spin_work: u32,
@@ -148,28 +140,6 @@ pub struct EngineConfig {
     pub trace: bool,
 }
 
-impl EngineConfig {
-    /// Whether the data plane ships scalar [`Message::Tuple`]s: the
-    /// explicit seed shape, or `batch_size ≤ 1` (a one-tuple batch buys
-    /// no amortization).
-    fn scalar_plane(&self) -> bool {
-        self.per_tuple || self.batch_size <= 1
-    }
-
-    /// Back-compat constructor for the retired `scale_out_at` knob: the
-    /// default config with one pre-provisioned spare slot and a
-    /// [`FixedSchedule`] adding one worker after `interval`'s statistics
-    /// are collected — behaviourally identical to the old field.
-    pub fn with_scale_out_at(interval: u64) -> Self {
-        let base = EngineConfig::default();
-        EngineConfig {
-            max_workers: base.n_workers + 1,
-            elasticity: Box::new(FixedSchedule::scale_out_at(interval)),
-            ..base
-        }
-    }
-}
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -178,7 +148,6 @@ impl Default for EngineConfig {
             channel_capacity: 1024,
             collector_capacity: 256,
             batch_size: 256,
-            per_tuple: false,
             spin_work: 500,
             window: 5,
             elasticity: Box::new(HoldPolicy),
@@ -245,11 +214,10 @@ pub enum ProtocolError {
         /// The slot with no channel to hand out.
         slot: usize,
     },
-    /// An auxiliary thread (source, throughput sampler, collector)
-    /// panicked; the run completed without it.
+    /// An auxiliary thread (source or collector) panicked; the run
+    /// completed without it.
     ThreadPanicked {
-        /// Which thread: `"source"`, `"throughput sampler"`, or
-        /// `"collector"`.
+        /// Which thread: `"source"` or `"collector"`.
         thread: &'static str,
     },
 }
@@ -299,8 +267,6 @@ pub struct EngineReport {
     pub wall: Duration,
     /// Mean throughput, tuples/second.
     pub mean_throughput: f64,
-    /// Wall-clock-sampled throughput series (seconds, tuples/s).
-    pub throughput: TimeSeries,
     /// Per-interval throughput series (interval, tuples/s).
     pub interval_throughput: TimeSeries,
     /// End-to-end tuple latency distribution (µs), merged over workers.
@@ -545,10 +511,6 @@ fn drain_dead_channel(
     let mut n_lost = 0u64;
     while let Ok(msg) = rx.try_recv() {
         match msg {
-            Message::Tuple(t) => {
-                *lost.entry(t.key).or_insert(0) += 1;
-                n_lost += 1;
-            }
             Message::TupleBatch(batch) => {
                 for t in &batch {
                     *lost.entry(t.key).or_insert(0) += 1;
@@ -731,7 +693,6 @@ impl Engine {
         let (pool_tx, pool_rx) = unbounded::<Vec<Vec<Tuple>>>();
 
         let counter = Arc::new(Counter::new());
-        let stop = Arc::new(AtomicBool::new(false));
         let has_collector = collector.is_some();
 
         let name = partitioner.name();
@@ -742,7 +703,6 @@ impl Engine {
             processed: 0,
             wall: Duration::ZERO,
             mean_throughput: 0.0,
-            throughput: TimeSeries::labelled("throughput"),
             interval_throughput: TimeSeries::labelled("interval throughput"),
             latency_us: Histogram::new(),
             rebalances: 0,
@@ -774,6 +734,23 @@ impl Engine {
         ));
 
         std::thread::scope(|s| {
+            // --- source ---------------------------------------------------
+            // Started first, with its plane built here, so its first feed
+            // waits neither for worker start-up nor for the allocator (a
+            // fresh thread's first large allocation can stall while a
+            // reused arena's freed chunks are consolidated). Batches it
+            // ships meanwhile queue in the already-open worker channels.
+            let plane = SourcePlane::new(
+                initial_view,
+                worker_txs.clone(),
+                src_evt_tx,
+                pool_rx,
+                config.batch_size,
+                Arc::clone(&injector),
+            );
+            let src_rec = sink.recorder(ThreadLabel::Source);
+            let src_handle = s.spawn(move || source_loop(feeder, plane, ctl_rx, t0, src_rec));
+
             // --- workers -------------------------------------------------
             let spawner = WorkerSpawner {
                 event_tx: event_tx.clone(),
@@ -804,44 +781,6 @@ impl Engine {
                     sink.recorder(ThreadLabel::Collector),
                 );
                 s.spawn(move || stage.run())
-            });
-
-            // --- throughput sampler ---------------------------------------
-            let sampler = {
-                let counter = Arc::clone(&counter);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || {
-                    let meter = RateMeter::new();
-                    let mut series = TimeSeries::labelled("throughput");
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(50));
-                        meter.sample(&counter);
-                    }
-                    for &(t, v) in &meter.series() {
-                        series.push(t, v);
-                    }
-                    series
-                })
-            };
-
-            // --- source ---------------------------------------------------
-            let src_worker_txs = worker_txs.clone();
-            let src_config = config.clone();
-            let src_injector = Arc::clone(&injector);
-            let src_rec = sink.recorder(ThreadLabel::Source);
-            let src_handle = s.spawn(move || {
-                source_loop(
-                    feeder,
-                    initial_view,
-                    src_worker_txs,
-                    ctl_rx,
-                    src_evt_tx,
-                    pool_rx,
-                    t0,
-                    src_config,
-                    src_injector,
-                    src_rec,
-                )
             });
 
             // --- controller (this thread) ----------------------------------
@@ -2593,7 +2532,6 @@ impl Engine {
             // does so on Shutdown or panic; a panic is surfaced by the
             // join below) — nothing to tell it.
             let _ = ctl_tx.send(SourceCtl::Shutdown);
-            stop.store(true, Ordering::Relaxed);
             drop(spawner);
             drop(col_tx);
             // Join the source before taking the ledger: it records
@@ -2608,12 +2546,6 @@ impl Engine {
             let mut lost_tuples: Vec<(Key, u64)> = lost.into_iter().collect();
             lost_tuples.sort_unstable_by_key(|&(k, _)| k);
             report.lost_tuples = lost_tuples;
-            match sampler.join() {
-                Ok(t) => report.throughput = t,
-                Err(_) => report.protocol_errors.push(ProtocolError::ThreadPanicked {
-                    thread: "throughput sampler",
-                }),
-            }
             if let Some(h) = col_handle {
                 match h.join() {
                     Ok(r) => report.collector_result = r,
@@ -2642,6 +2574,16 @@ impl Engine {
     }
 }
 
+/// What the source is holding back during an in-flight control op.
+enum PauseFilter {
+    /// Migration: the affected key set `Δ(F, F′)`.
+    Keys(FxHashSet<Key>),
+    /// Scale-in: everything routed to the retiring destination. Evaluated
+    /// *after* routing (in [`SourcePlane::ship`]), because membership is a
+    /// property of the route, not the key.
+    Dest(TaskId),
+}
+
 /// The source-thread data plane: router, fan-out accumulators, pause
 /// buffer, and the batch-buffer free list.
 ///
@@ -2653,16 +2595,6 @@ impl Engine {
 /// accumulators are empty at every poll point: a `PauseAck` never races
 /// unsent data and the FIFO consistency argument (see crate docs)
 /// carries over from the per-tuple protocol unchanged.
-/// What the source is holding back during an in-flight control op.
-enum PauseFilter {
-    /// Migration: the affected key set `Δ(F, F′)`.
-    Keys(FxHashSet<Key>),
-    /// Scale-in: everything routed to the retiring destination. Evaluated
-    /// *after* routing (in [`SourcePlane::ship`]), because membership is a
-    /// property of the route, not the key.
-    Dest(TaskId),
-}
-
 struct SourcePlane {
     router: SourceRouter,
     worker_txs: Vec<Sender<Message>>,
@@ -2679,11 +2611,13 @@ struct SourcePlane {
     pool: Receiver<Vec<Vec<Tuple>>>,
     /// Local free list fed from the pool.
     free: Vec<Vec<Tuple>>,
+    /// The batch being staged for [`SourcePlane::ship`]; empty at every
+    /// control-poll point.
+    staged: Vec<Tuple>,
     /// Routing scratch, reused across batches.
     keys: Vec<Key>,
     dests: Vec<TaskId>,
     batch: usize,
-    per_tuple: bool,
     /// Dead worker slots (`DeadDest`, or a send failure observed first-
     /// hand): routed tuples divert past them in [`SourcePlane::send_msg`]
     /// until a `ReviveDest` swaps in a fresh channel.
@@ -2693,6 +2627,35 @@ struct SourcePlane {
 }
 
 impl SourcePlane {
+    fn new(
+        view: RoutingView,
+        worker_txs: Vec<Sender<Message>>,
+        events: Sender<SourceEvent>,
+        pool: Receiver<Vec<Vec<Tuple>>>,
+        batch_size: usize,
+        injector: Arc<FaultInjector>,
+    ) -> Self {
+        let batch = batch_size.max(1);
+        let n_slots = worker_txs.len();
+        SourcePlane {
+            router: SourceRouter::from_view(view),
+            worker_txs,
+            events,
+            paused: None,
+            buffer: Vec::new(),
+            fan: (0..n_slots).map(|_| Vec::with_capacity(batch)).collect(),
+            touched: Vec::with_capacity(n_slots),
+            pool,
+            free: Vec::new(),
+            staged: Vec::with_capacity(batch),
+            keys: Vec::with_capacity(batch),
+            dests: Vec::with_capacity(batch),
+            batch,
+            dead: FxHashSet::default(),
+            injector,
+        }
+    }
+
     /// A buffer from the free list (refilled from the pool channel), or a
     /// fresh one on a miss (only until enough buffers circulate).
     fn take_buf(&mut self) -> Vec<Tuple> {
@@ -2709,11 +2672,10 @@ impl SourcePlane {
     }
 
     /// Drains every pending pool return into the free list and bounds
-    /// it. Called at control-poll points: in the scalar shape `ship`
-    /// never consumes buffers, yet collector-emission buffers still
-    /// return here — without reclamation the unbounded pool channel
-    /// would grow for the whole run. The bound also caps the free list
-    /// in the batched shape (excess capacity is just dropped).
+    /// it (excess capacity is just dropped). Called at control-poll
+    /// points: workers and the collector return buffers in groups, and
+    /// whatever `ship` does not consume must not pile up in the
+    /// unbounded pool channel for the whole run.
     fn reclaim(&mut self) {
         while let Ok(group) = self.pool.try_recv() {
             self.free.extend(group);
@@ -2722,53 +2684,43 @@ impl SourcePlane {
         self.free.truncate(cap);
     }
 
-    /// Routes `staged` and ships it downstream: one channel send per
-    /// destination touched (or per tuple in the seed shape). Drains
-    /// `staged`, preserving per-destination tuple order. Under a
-    /// destination pause (scale-in), tuples routed to the quiesced worker
-    /// divert to the pause buffer instead — in arrival order, so the
-    /// Resume flush replays them FIFO under the new view.
-    fn ship(&mut self, staged: &mut Vec<Tuple>) {
-        if staged.is_empty() {
+    /// Routes the staged batch and ships it downstream: one channel send
+    /// per destination touched. Drains it, preserving per-destination
+    /// tuple order. Under a destination pause (scale-in), tuples routed
+    /// to the quiesced worker divert to the pause buffer instead — in
+    /// arrival order, so the Resume flush replays them FIFO under the new
+    /// view.
+    fn ship(&mut self) {
+        if self.staged.is_empty() {
             return;
         }
         self.keys.clear();
-        self.keys.extend(staged.iter().map(|t| t.key));
+        self.keys.extend(self.staged.iter().map(|t| t.key));
         let mut dests = std::mem::take(&mut self.dests);
         self.router.route_batch(&self.keys, &mut dests);
         let pause_dest = match &self.paused {
             Some((_, PauseFilter::Dest(d))) => Some(*d),
             _ => None,
         };
-        if self.per_tuple {
-            for (t, d) in staged.drain(..).zip(&dests) {
-                if pause_dest == Some(*d) {
-                    self.buffer.push(t);
-                    continue;
-                }
-                self.send_msg(d.index(), Message::Tuple(t), 1);
+        for (t, d) in self.staged.drain(..).zip(&dests) {
+            if pause_dest == Some(*d) {
+                self.buffer.push(t);
+                continue;
             }
-        } else {
-            for (t, d) in staged.drain(..).zip(&dests) {
-                if pause_dest == Some(*d) {
-                    self.buffer.push(t);
-                    continue;
-                }
-                let slot = &mut self.fan[d.index()];
-                if slot.is_empty() {
-                    self.touched.push(d.index());
-                }
-                slot.push(t);
+            let slot = &mut self.fan[d.index()];
+            if slot.is_empty() {
+                self.touched.push(d.index());
             }
-            for i in 0..self.touched.len() {
-                let d = self.touched[i];
-                let next = self.take_buf();
-                let batch = std::mem::replace(&mut self.fan[d], next);
-                let weight = batch.len();
-                self.send_msg(d, Message::TupleBatch(batch), weight);
-            }
-            self.touched.clear();
+            slot.push(t);
         }
+        for i in 0..self.touched.len() {
+            let d = self.touched[i];
+            let next = self.take_buf();
+            let batch = std::mem::replace(&mut self.fan[d], next);
+            let weight = batch.len();
+            self.send_msg(d, Message::TupleBatch(batch), weight);
+        }
+        self.touched.clear();
         self.dests = dests;
     }
 
@@ -2865,19 +2817,19 @@ impl SourcePlane {
                 // buffer into the pool, pinning its capacity for the
                 // rest of the run).
                 let mut buffered = std::mem::take(&mut self.buffer);
-                let mut staged: Vec<Tuple> = Vec::with_capacity(self.batch);
                 for t in buffered.drain(..) {
-                    staged.push(t);
-                    if staged.len() >= self.batch {
-                        self.ship(&mut staged);
+                    self.staged.push(t);
+                    if self.staged.len() >= self.batch {
+                        self.ship();
                     }
                 }
-                self.ship(&mut staged);
-                self.buffer = buffered; // drained; keeps its capacity
-                                        // Flush complete: only now may the controller shut workers
-                                        // down (Message ordering across two senders is otherwise
-                                        // unconstrained, and a Shutdown overtaking the flushed
-                                        // tuples would drop them).
+                self.ship();
+                // Drained; keeps its capacity.
+                self.buffer = buffered;
+                // Flush complete: only now may the controller shut workers
+                // down (message ordering across two senders is otherwise
+                // unconstrained, and a Shutdown overtaking the flushed
+                // tuples would drop them).
                 self.ack(SourceEvent::ResumeAck { epoch }, CtlKind::ResumeAck);
             }
             SourceCtl::UpdateView { view } => self.router.update(view),
@@ -2909,55 +2861,23 @@ impl SourcePlane {
 /// The source thread: feeds tuples, honours pause/resume, reports
 /// interval boundaries. Staging, routing, and shipping all happen per
 /// batch of `config.batch_size` tuples; emission timestamps are taken
-/// once per staged batch (per tuple in the seed `per_tuple` shape).
-#[allow(clippy::too_many_arguments)]
+/// once per staged batch.
 fn source_loop<F>(
     mut feeder: F,
-    view: RoutingView,
-    worker_txs: Vec<Sender<Message>>,
+    mut plane: SourcePlane,
     ctl: Receiver<SourceCtl>,
-    events: Sender<SourceEvent>,
-    pool: Receiver<Vec<Vec<Tuple>>>,
     epoch: Instant,
-    config: EngineConfig,
-    injector: Arc<FaultInjector>,
     mut recorder: ThreadRecorder,
 ) where
     F: FnMut(u64) -> Option<Vec<Tuple>> + Send,
 {
-    let batch = config.batch_size.max(1);
+    let batch = plane.batch;
     // Control-poll granularity: at least every CTL_POLL staged tuples,
     // decoupled from the batch size so tiny batches do not pay a control
     // channel probe per send. 256 matches the pre-batching loop's bound
     // on tuples routed under a stale view.
     const CTL_POLL: usize = 256;
     let ctl_every = batch.max(CTL_POLL);
-    // Batch size 1 degenerates to the scalar plane: same protocol
-    // positions, no pooled-buffer indirection for zero amortization.
-    let per_tuple = config.scalar_plane();
-    // Scalar sends have no fan-out to size, so staging (which only sets
-    // stamping and poll granularity there) stays at the poll bound.
-    let stage_size = if per_tuple { ctl_every } else { batch };
-    let n_slots = worker_txs.len();
-    let mut plane = SourcePlane {
-        router: SourceRouter::from_view(view),
-        worker_txs,
-        events,
-        paused: None,
-        buffer: Vec::new(),
-        fan: (0..n_slots).map(|_| Vec::with_capacity(batch)).collect(),
-        touched: Vec::with_capacity(n_slots),
-        pool,
-        free: Vec::new(),
-        keys: Vec::with_capacity(batch),
-        dests: Vec::with_capacity(batch),
-        batch,
-        per_tuple,
-        dead: FxHashSet::default(),
-        injector,
-    };
-    // Staging scratch, reused across batches to stay allocation-free.
-    let mut staged: Vec<Tuple> = Vec::with_capacity(stage_size);
     let mut since_ctl = usize::MAX; // poll before the first batch
 
     let mut interval = 0u64;
@@ -2978,43 +2898,34 @@ fn source_loop<F>(
                 }
             }
             // Stage the next batch, holding back keys paused for an
-            // in-flight migration. One clock read stamps the whole batch;
-            // the scalar shape stamps each tuple, as the seed always did.
+            // in-flight migration. One clock read stamps the whole batch.
             // The loop is bounded by tuples *consumed*, not staged: under
             // a pause that covers the hot keys, nearly everything goes to
             // the pause buffer, and a staged-only bound would starve the
             // control poll (and the Resume that empties that buffer) for
             // the rest of the interval.
-            staged.clear();
+            plane.staged.clear();
             let mut consumed = 0usize;
-            let batch_us = if per_tuple {
-                0
-            } else {
-                epoch.elapsed().as_micros() as u64
-            };
-            while staged.len() < stage_size && consumed < stage_size {
+            let batch_us = epoch.elapsed().as_micros() as u64;
+            while plane.staged.len() < batch && consumed < batch {
                 let Some(mut t) = pending.next() else {
                     break;
                 };
                 consumed += 1;
-                t.emitted_us = if per_tuple {
-                    epoch.elapsed().as_micros() as u64
-                } else {
-                    batch_us
-                };
+                t.emitted_us = batch_us;
                 if let Some((_, PauseFilter::Keys(affected))) = &plane.paused {
                     if affected.contains(&t.key) {
                         plane.buffer.push(t);
                         continue;
                     }
                 }
-                staged.push(t);
+                plane.staged.push(t);
             }
             if consumed == 0 && pending.len() == 0 {
                 break;
             }
             since_ctl += consumed;
-            plane.ship(&mut staged);
+            plane.ship();
         }
         since_ctl = usize::MAX; // interval boundary: poll immediately
         while let Ok(msg) = ctl.try_recv() {
@@ -3055,6 +2966,7 @@ mod tests {
     use streambal_baselines::CoreBalancer;
     use streambal_baselines::HashPartitioner;
     use streambal_core::{BalanceParams, RebalanceStrategy};
+    use streambal_elastic::FixedSchedule;
     use streambal_workloads::FluctuatingWorkload;
 
     /// Reference word counts for a tuple sequence.
@@ -3084,7 +2996,6 @@ mod tests {
             channel_capacity: 256,
             collector_capacity: 64,
             batch_size: 32, // small batches: more batch boundaries under test
-            per_tuple: false,
             spin_work: 10,
             window: 100, // keep everything: exact count validation
             elasticity: Box::new(HoldPolicy),
@@ -3206,31 +3117,6 @@ mod tests {
             .map(|&(k, v)| (Key(k), v))
             .collect();
         assert_eq!(merged, expect, "partial/merge must reconstruct counts");
-    }
-
-    /// The back-compat constructor reproduces the retired knob: one
-    /// spare slot, one worker added after the given interval.
-    #[test]
-    fn with_scale_out_at_matches_the_old_knob() {
-        let config = EngineConfig::with_scale_out_at(1);
-        assert_eq!(config.max_workers, config.n_workers + 1);
-        let n_workers = config.n_workers;
-        let report = Engine::run(
-            config,
-            Box::new(HashPartitioner::new(n_workers)),
-            |_| Box::new(WordCountOp::new()),
-            |iv| (iv < 4).then(|| (0..1500u64).map(|i| Tuple::keyed(Key(i % 40))).collect()),
-            None,
-        );
-        assert_eq!(report.processed, 6000);
-        assert_eq!(
-            report.scale_events,
-            vec![ScaleEvent {
-                interval: 1,
-                from: n_workers,
-                to: n_workers + 1
-            }]
-        );
     }
 
     #[test]
@@ -3520,7 +3406,7 @@ mod tests {
         assert_eq!(decode_counts(&seed.final_states), expect, "seed exact");
     }
 
-    /// The seed per-tuple shape and batch sizes 1 and 256 must all be
+    /// One-tuple batches (batch size 1) and larger batches must all be
     /// observationally identical: exact counts, exact processed totals,
     /// exact latency sample counts.
     #[test]
@@ -3529,9 +3415,8 @@ mod tests {
         let intervals: Vec<Vec<Key>> = (0..3).map(|_| w.tuples()).collect();
         let expect = reference_counts(&intervals);
         let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
-        for (per_tuple, batch_size) in [(true, 256), (false, 1), (false, 256)] {
+        for batch_size in [1, 3, 256] {
             let config = EngineConfig {
-                per_tuple,
                 batch_size,
                 ..small_config()
             };
@@ -3546,11 +3431,7 @@ mod tests {
                 },
                 None,
             );
-            let label = if per_tuple {
-                "per-tuple".to_string()
-            } else {
-                format!("batch={batch_size}")
-            };
+            let label = format!("batch={batch_size}");
             assert_eq!(report.processed, total, "{label}");
             assert_eq!(report.latency_us.count(), total, "{label}");
             assert_eq!(decode_counts(&report.final_states), expect, "{label}");

@@ -232,7 +232,6 @@
 //! session. `--check` validates schema + span integrity and exits
 //! nonzero on violation (CI runs it on every committed trace).
 
-pub mod codec;
 pub(crate) mod controller;
 pub mod engine;
 pub mod fault;
@@ -240,25 +239,17 @@ pub mod merge;
 pub mod message;
 pub mod operator;
 pub mod router;
-pub mod topk;
 pub mod tuple;
 pub mod worker;
 
-pub use codec::{
-    decode_plan, decode_tuple_batch, decode_view, encode_plan, encode_tuple_batch, encode_view,
-    CodecError,
-};
 pub use engine::{Engine, EngineConfig, EngineReport, ProtocolError, ScaleEvent, SplitEvent};
 pub use fault::{CtlKind, FaultEvent, FaultInjector, FaultPlan, FaultSpec, KillTrigger, OpKind};
 pub use merge::MergeStage;
 pub use message::{Message, SourceCtl, SourceEvent, WorkerEvent};
-pub use operator::{
-    CoJoinOp, Collector, CountingCollector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp,
-};
+pub use operator::{CoJoinOp, Collector, Operator, SumCollector, WindowedSelfJoinOp, WordCountOp};
 pub use router::SourceRouter;
 pub use streambal_trace::{
     EventKind, OpLabel, Outcome, Phase, SpanSummary, ThreadLabel, ThreadRecorder, TraceEvent,
     TraceLog, TraceSink,
 };
-pub use topk::TopKOp;
 pub use tuple::{Tuple, TAG_DEFAULT, TAG_LEFT, TAG_PARTIAL, TAG_RIGHT};

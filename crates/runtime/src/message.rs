@@ -5,17 +5,14 @@ use streambal_core::{IntervalStats, Key, RoutingView, TaskId};
 
 use crate::tuple::Tuple;
 
-/// Messages flowing into a worker's input channel. Tuple batches and
-/// control markers share the channel, so FIFO ordering *is* the migration
-/// consistency argument (see crate docs): a batch enqueued before a
-/// `MigrateOut`/`StateInstall`/`Shutdown` marker is processed — whole —
-/// before it, exactly as the per-tuple protocol guaranteed per tuple.
+/// Messages flowing into a worker's input channel. Data travels only as
+/// [`Message::TupleBatch`]es (a one-tuple batch at batch size 1), and
+/// batches and control markers share the channel, so FIFO ordering *is*
+/// the migration consistency argument (see crate docs): a batch enqueued
+/// before a `MigrateOut`/`StateInstall`/`Shutdown` marker is processed —
+/// whole — before it.
 #[derive(Debug)]
 pub enum Message {
-    /// A single data tuple — the seed's per-tuple data plane, kept for
-    /// benchmarking against ([`crate::EngineConfig::per_tuple`]) and for
-    /// tests. The batched hot path never sends it.
-    Tuple(Tuple),
     /// A batch of data tuples: one channel operation covers the whole
     /// vector. The buffer is pooled — after draining it, the worker
     /// returns it (cleared, capacity intact) to the source through the

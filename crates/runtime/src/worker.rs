@@ -20,8 +20,7 @@ const EMIT_SPARES: usize = 2;
 
 /// Drained buffers accumulated before one grouped pool return. Returning
 /// buffers in groups amortizes the pool-channel lock to `1/RETURN_GROUP`
-/// per batch — at batch size 1 this is what keeps the pooled plane at
-/// parity with the seed's per-tuple sends.
+/// per batch, which matters most at batch size 1.
 const RETURN_GROUP: usize = 8;
 
 /// Everything one worker thread needs.
@@ -35,7 +34,8 @@ pub(crate) struct WorkerCtx {
     pub spin_work: u32,
     /// State window `w` in intervals.
     pub window: u64,
-    /// Shared processed-tuples counter (throughput sampling).
+    /// Shared processed-tuples counter (the controller's per-interval
+    /// throughput).
     pub processed_counter: Arc<Counter>,
     /// Engine start instant (latency reference).
     pub epoch: Instant,
@@ -214,25 +214,6 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
 
     while let Ok(msg) = ctx.rx.recv() {
         match msg {
-            Message::Tuple(t) => {
-                // The seed per-tuple shape: one clock read, one counter
-                // increment, one (length-1) collector flush per tuple.
-                // (The collector channel itself now carries batches, so
-                // with a collector this shape pays a small Vec per
-                // emission — the one place it deviates from the seed.)
-                spin(ctx.spin_work);
-                let mem = ctx
-                    .op
-                    .process(&t, current_interval, &mut |t| emitter.emit(t));
-                stats.observe(t.key, 1, ctx.spin_work as u64 + 1, mem);
-                let now_us = ctx.epoch.elapsed().as_micros() as u64;
-                iv_latency.record(now_us.saturating_sub(t.emitted_us));
-                first_interval.get_or_insert(current_interval);
-                processed += 1;
-                ctx.processed_counter.incr();
-                ctx.recorder.count_batch(1);
-                emitter.flush();
-            }
             Message::TupleBatch(mut batch) => {
                 let n = batch.len() as u64;
                 // Batch-local stats accumulation by key runs: consecutive
@@ -266,11 +247,10 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
                 }
                 // One monotonic-clock read per batch, taken *after* the
                 // drain so recorded latencies include the batch's own
-                // processing (the per-tuple shape reads after each
-                // tuple; reading before the drain would systematically
-                // under-report late tuples). Latency is still recorded
-                // per tuple against its own emission stamp, in a second
-                // cache-hot pass over the stamps.
+                // processing (reading before the drain would
+                // systematically under-report late tuples). Latency is
+                // still recorded per tuple against its own emission
+                // stamp, in a second cache-hot pass over the stamps.
                 let now_us = ctx.epoch.elapsed().as_micros() as u64;
                 for t in batch.iter() {
                     iv_latency.record(now_us.saturating_sub(t.emitted_us));
@@ -524,7 +504,8 @@ mod tests {
     fn processes_and_reports_stats() {
         let (tx, erx, _pool, h) = spawn_worker(5);
         for _ in 0..10 {
-            tx.send(Message::Tuple(Tuple::keyed(Key(1)))).unwrap();
+            tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1))]))
+                .unwrap();
         }
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         match erx.recv().unwrap() {
@@ -570,46 +551,57 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// A `TupleBatch` must account identically to the same tuples sent
-    /// one at a time — stats, counts, and state — and the drained buffer
-    /// must come back through the pool with its capacity intact.
+    /// N one-tuple batches must account identically to one N-tuple
+    /// batch — stats, processed count, and latency samples — and every
+    /// drained buffer must come back through the pool with its capacity
+    /// intact.
     #[test]
     fn batch_matches_per_tuple_accounting_and_recycles_buffer() {
-        let (tx, erx, pool_rx, h) = spawn_worker(5);
-        let batch: Vec<Tuple> = (0..10)
-            .map(|i| Tuple::keyed(Key(if i % 2 == 0 { 1 } else { 2 })))
-            .collect();
-        let cap = batch.capacity();
-        tx.send(Message::TupleBatch(batch)).unwrap();
-        tx.send(Message::StatsRequest { interval: 0 }).unwrap();
-        match erx.recv().unwrap() {
-            WorkerEvent::Stats { stats, .. } => {
-                let s1 = stats.get(Key(1)).unwrap();
-                assert_eq!(s1.freq, 5);
-                assert_eq!(s1.cost, 25); // (spin_work + 1) · freq
-                assert_eq!(s1.mem, 40);
-                let s2 = stats.get(Key(2)).unwrap();
-                assert_eq!(s2.freq, 5);
+        let keys: Vec<Key> = (0..10).map(|i| Key(1 + i % 2)).collect();
+        let one_by_one: Vec<Vec<Tuple>> = keys.iter().map(|&k| vec![Tuple::keyed(k)]).collect();
+        let whole: Vec<Tuple> = keys.iter().map(|&k| Tuple::keyed(k)).collect();
+        let mut seen = Vec::new();
+        for batches in [one_by_one, vec![whole]] {
+            let (tx, erx, pool_rx, h) = spawn_worker(5);
+            let mut cap: Vec<usize> = batches.iter().map(Vec::capacity).collect();
+            for batch in batches {
+                tx.send(Message::TupleBatch(batch)).unwrap();
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        tx.send(Message::Shutdown).unwrap();
-        match erx.recv().unwrap() {
-            WorkerEvent::Drained {
-                processed, latency, ..
-            } => {
-                assert_eq!(processed, 10);
-                assert_eq!(latency.count(), 10, "latency recorded per tuple");
+            tx.send(Message::StatsRequest { interval: 0 }).unwrap();
+            let (s1, s2) = match erx.recv().unwrap() {
+                WorkerEvent::Stats { stats, .. } => {
+                    (stats.get(Key(1)).unwrap(), stats.get(Key(2)).unwrap())
+                }
+                other => panic!("unexpected {other:?}"),
+            };
+            assert_eq!(s1.freq, 5);
+            assert_eq!(s1.cost, 25); // (spin_work + 1) · freq
+            assert_eq!(s1.mem, 40);
+            assert_eq!(s2.freq, 5);
+            tx.send(Message::Shutdown).unwrap();
+            let (processed, samples) = match erx.recv().unwrap() {
+                WorkerEvent::Drained {
+                    processed, latency, ..
+                } => (processed, latency.count()),
+                other => panic!("unexpected {other:?}"),
+            };
+            h.join().unwrap();
+            // The buffers came back through the pool (grouped returns,
+            // the last group flushed at shutdown), drained but with their
+            // capacity intact.
+            let mut back: Vec<usize> = Vec::new();
+            while let Ok(group) = pool_rx.try_recv() {
+                assert!(group.iter().all(Vec::is_empty));
+                back.extend(group.iter().map(Vec::capacity));
             }
-            other => panic!("unexpected {other:?}"),
+            back.sort_unstable();
+            cap.sort_unstable();
+            assert_eq!(back, cap, "every drained buffer is recycled");
+            seen.push((s1, s2, processed, samples));
         }
-        // The buffer came back through the pool (grouped return, flushed
-        // at shutdown), drained but with its capacity intact.
-        let group = pool_rx.recv().unwrap();
-        assert_eq!(group.len(), 1);
-        assert!(group[0].is_empty());
-        assert_eq!(group[0].capacity(), cap);
-        h.join().unwrap();
+        assert_eq!(seen[0], seen[1], "one-tuple batches account like one batch");
+        assert_eq!(seen[0].2, 10);
+        assert_eq!(seen[0].3, 10, "latency recorded per tuple");
     }
 
     /// Emissions toward a collector arrive batched, and the batch buffers
@@ -710,7 +702,8 @@ mod tests {
         let (tx, erx, _pool, h) = spawn_worker(100);
         tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1)); 3]))
             .unwrap();
-        tx.send(Message::Tuple(Tuple::keyed(Key(2)))).unwrap();
+        tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(2))]))
+            .unwrap();
         tx.send(Message::Retire { epoch: 9 }).unwrap();
         match erx.recv().unwrap() {
             WorkerEvent::Retired {
@@ -728,8 +721,9 @@ mod tests {
                 assert_eq!(keys, vec![1, 2], "all state handed back");
                 // The channel stayed connected: a respawn on the same
                 // slot picks up right where the retiree left.
-                tx.send(Message::Tuple(Tuple::keyed(Key(3)))).unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::Tuple(_)));
+                tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(3))]))
+                    .unwrap();
+                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -739,7 +733,8 @@ mod tests {
     #[test]
     fn window_eviction_after_stats() {
         let (tx, erx, _pool, h) = spawn_worker(1); // keep only current interval
-        tx.send(Message::Tuple(Tuple::keyed(Key(5)))).unwrap();
+        tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(5))]))
+            .unwrap();
         tx.send(Message::StatsRequest { interval: 0 }).unwrap();
         let _ = erx.recv();
         // Interval 1: nothing for key 5; window=1 evicts interval 0 state.
@@ -786,8 +781,9 @@ mod tests {
                 assert_eq!(stats.get(Key(9)).unwrap().freq, 2);
                 // The receiver is handed back so in-flight messages can
                 // be drained for accounting.
-                tx.send(Message::Tuple(Tuple::keyed(Key(1)))).unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::Tuple(_)));
+                tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1))]))
+                    .unwrap();
+                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -11,7 +11,7 @@
 //!
 //! The simulator models key-grouping semantics plus hot-key splitting:
 //! every key maps to one task unless a [`SplitPolicy`]
-//! ([`run_sim_elastic_split`]) salts it across replica slots. The split
+//! ([`SimHooks::split`]) salts it across replica slots. The split
 //! *decision* layer runs here exactly as on the engine — same
 //! observation shape, same guards, same event records — so a split plan
 //! drafted in the simulator replays on the runtime `SplitEvent` for
@@ -49,10 +49,15 @@ pub fn run_sim(
     source: &mut dyn IntervalSource,
     cfg: &SimConfig,
 ) -> SimReport {
-    run_sim_elastic(partitioner, source, cfg, &mut HoldPolicy, cfg.n_tasks)
+    run_sim_elastic(
+        partitioner,
+        source,
+        cfg,
+        SimHooks::new(&mut HoldPolicy, cfg.n_tasks),
+    )
 }
 
-/// Deterministic queue/latency proxy for [`run_sim_elastic_queued`]: the
+/// Deterministic queue/latency proxy for [`SimHooks::queue`]: the
 /// simulator has no physical channels, so the backpressure signals the
 /// engine samples (tuple-weighted channel occupancy at interval close,
 /// per-interval latency) are modeled as a per-task fluid queue. Each
@@ -86,46 +91,56 @@ impl QueueModel {
     }
 }
 
-/// [`run_sim`] with an elasticity hook: the same per-interval decision
-/// sequence the engine's controller runs, recorded in the same
-/// [`SimReport::scale_events`] shape as `EngineReport::scale_events` so
-/// traces compare with `==`. Queue/latency observations are zero (see
-/// [`run_sim_elastic_queued`] for the modeled backpressure signals).
-pub fn run_sim_elastic(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-) -> SimReport {
-    run_sim_elastic_queued(
-        partitioner,
-        source,
-        cfg,
-        policy,
-        max_tasks,
-        QueueModel::none(),
-    )
+/// The per-interval decision hooks [`run_sim_elastic`] consults, the
+/// same ones the engine's controller consults after every statistics
+/// round.
+pub struct SimHooks<'a> {
+    /// Decides `ScaleOut` / `ScaleIn` / `Hold` each interval.
+    pub policy: &'a mut dyn ElasticityPolicy,
+    /// Scale-outs past this many tasks are skipped.
+    pub max_tasks: usize,
+    /// Queue/latency model behind the policy's backpressure signals.
+    pub queue: QueueModel,
+    /// Hot-key split policy, consulted after the scale decision.
+    pub split: Option<&'a mut dyn SplitPolicy>,
 }
 
-/// [`run_sim_elastic`] with modeled backpressure signals: per-task queue
-/// depths and interval latency from a [`QueueModel`] fluid queue, filled
-/// into the same [`IntervalObservation`] fields the engine samples from
-/// its real channels — so queue-driven policies
-/// (`streambal_elastic::BackpressurePolicy`) plan in the simulator and
-/// replay on the engine exactly like load-driven ones.
+impl<'a> SimHooks<'a> {
+    /// `policy` up to `max_tasks`, with no queue model and no splitting.
+    pub fn new(policy: &'a mut dyn ElasticityPolicy, max_tasks: usize) -> Self {
+        SimHooks {
+            policy,
+            max_tasks,
+            queue: QueueModel::none(),
+            split: None,
+        }
+    }
+}
+
+/// [`run_sim`] with the engine controller's per-interval hooks: the same
+/// decision sequence, recorded in the same [`SimReport::scale_events`] /
+/// [`SimReport::split_events`] shapes as `EngineReport`'s, so traces
+/// compare with `==`.
 ///
 /// Per interval, in engine order: the source advances (its fluctuation
 /// process sees the partitioner's current destinations), loads are
-/// evaluated under the current assignment, the queue model absorbs the
-/// interval's arrivals, the policy decides on those observations —
-/// `ScaleOut` applies `Partitioner::scale_out_plan` (clamped at
-/// `max_tasks`; the pre-placement moves are notional here, state being
-/// simulated, but the *routing* delta matches the engine's exactly),
-/// `ScaleIn` applies `Partitioner::scale_in` on the highest-numbered
-/// task (clamped at one task) — and only then does `end_interval` run
-/// under the stopwatch, exactly as the controller consults the policy
-/// before the rebalance hook.
+/// evaluated under the current assignment, and the queue model absorbs
+/// the interval's arrivals — its depths and latencies fill the same
+/// [`IntervalObservation`] fields the engine samples from its real
+/// channels, so queue-driven policies
+/// (`streambal_elastic::BackpressurePolicy`) plan here and replay on the
+/// engine like load-driven ones. The policy then decides: `ScaleOut`
+/// applies `Partitioner::scale_out_plan` (clamped at `max_tasks`; the
+/// pre-placement moves are notional here, state being simulated, but the
+/// *routing* delta matches the engine's exactly), `ScaleIn` applies
+/// `Partitioner::scale_in` on the highest-numbered task (clamped at one
+/// task). Next the split policy, if any, sees the interval's per-key
+/// costs and the current split set; its decisions execute through
+/// [`Partitioner::split_key`] / [`Partitioner::unsplit_key`] with the
+/// engine's guards and replica-slot choice ([`choose_replicas`] over the
+/// interval's task loads). Only then does `end_interval` run under the
+/// stopwatch, exactly as the controller consults both policies before
+/// the rebalance hook.
 ///
 /// One divergence from the engine is inherent: the simulator has no
 /// physical state to drain, so a scale-in is instantaneous here, while
@@ -137,64 +152,24 @@ pub fn run_sim_elastic(
 /// decisions are at least one engine re-provision apart (any policy with
 /// hysteresis or a cooldown, and every fixed schedule that spaces its
 /// reversals — `tests/elasticity.rs` pins the replay identity).
-pub fn run_sim_elastic_queued(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-    model: QueueModel,
-) -> SimReport {
-    run_sim_inner(partitioner, source, cfg, policy, max_tasks, model, None)
-}
-
-/// [`run_sim_elastic_queued`] with the hot-key split hook: after the
-/// elasticity decision (and before `end_interval`, exactly where the
-/// engine's controller consults `EngineConfig::split`), the split policy
-/// sees the interval's per-key costs and the current split set, and its
-/// decisions execute through [`Partitioner::split_key`] /
-/// [`Partitioner::unsplit_key`] with the same guards and the same
-/// replica-slot choice ([`choose_replicas`] over the interval's task
-/// loads) as the engine. Executed decisions land in
-/// [`SimReport::split_events`] in the engine's `SplitEvent` shape, so
-/// sim and runtime split traces pin with `==` — the engine's only extra
-/// step is shipping the view (and, for unsplit, the replica partials)
-/// through its pause/quiesce protocol, which changes no decision.
 ///
-/// The same-interval caveat as scale events applies: a split decided in
-/// the interval a scale decision also fired can see a one-task-newer
-/// routing here (the sim applies scale instantly, the engine queues it),
-/// so identical traces need the two decision kinds at least one interval
-/// apart — free with any cooldown-carrying policy.
-pub fn run_sim_elastic_split(
+/// For the same reason, a split decided in the interval a scale decision
+/// also fired can see a one-task-newer routing here (the sim applies
+/// scale instantly, the engine queues it), so identical split traces need
+/// the two decision kinds at least one interval apart — free with any
+/// cooldown-carrying policy.
+pub fn run_sim_elastic(
     partitioner: &mut dyn Partitioner,
     source: &mut dyn IntervalSource,
     cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-    model: QueueModel,
-    split: &mut dyn SplitPolicy,
+    hooks: SimHooks<'_>,
 ) -> SimReport {
-    run_sim_inner(
-        partitioner,
-        source,
-        cfg,
+    let SimHooks {
         policy,
         max_tasks,
-        model,
-        Some(split),
-    )
-}
-
-fn run_sim_inner(
-    partitioner: &mut dyn Partitioner,
-    source: &mut dyn IntervalSource,
-    cfg: &SimConfig,
-    policy: &mut dyn ElasticityPolicy,
-    max_tasks: usize,
-    model: QueueModel,
-    mut split: Option<&mut dyn SplitPolicy>,
-) -> SimReport {
+        queue: model,
+        mut split,
+    } = hooks;
     let mut report = SimReport::new(partitioner.name(), cfg.n_tasks);
     // Batch scratch reused across intervals: the destination evaluation is
     // the simulator's per-key hot loop, so it goes through `route_batch`
@@ -541,7 +516,7 @@ mod tests {
         );
         let mut src = zipf_source(3_000, 0.9, 0.3);
         let mut policy = FixedSchedule::cycle(2, 5, 1);
-        let report = run_sim_elastic(&mut p, &mut src, &cfg, &mut policy, 5);
+        let report = run_sim_elastic(&mut p, &mut src, &cfg, SimHooks::new(&mut policy, 5));
         use streambal_elastic::ScaleEvent;
         assert_eq!(
             report.scale_events,
@@ -586,25 +561,15 @@ mod tests {
         };
         let mut p = HashPartitioner::new(2);
         let mut src = zipf_source(500, 0.5, 0.0);
-        let report = run_sim_elastic(
-            &mut p,
-            &mut src,
-            &cfg,
-            &mut Always(ScaleDecision::ScaleOut),
-            3,
-        );
+        let mut grow = Always(ScaleDecision::ScaleOut);
+        let report = run_sim_elastic(&mut p, &mut src, &cfg, SimHooks::new(&mut grow, 3));
         assert_eq!(p.n_tasks(), 3, "grew to the cap and stopped");
         assert_eq!(report.scale_events.len(), 1);
 
         let mut p = HashPartitioner::new(2);
         let mut src = zipf_source(500, 0.5, 0.0);
-        let report = run_sim_elastic(
-            &mut p,
-            &mut src,
-            &cfg,
-            &mut Always(ScaleDecision::ScaleIn),
-            3,
-        );
+        let mut shrink = Always(ScaleDecision::ScaleIn);
+        let report = run_sim_elastic(&mut p, &mut src, &cfg, SimHooks::new(&mut shrink, 3));
         assert_eq!(p.n_tasks(), 1, "shrank to one task and stopped");
         assert_eq!(report.scale_events.len(), 1);
     }
@@ -644,16 +609,17 @@ mod tests {
         let mut policy = BackpressurePolicy::new(100, 20, 2, 4);
         policy.down_after = 2;
         policy.cooldown = 0;
-        let report = run_sim_elastic_queued(
+        let report = run_sim_elastic(
             &mut p,
             &mut src,
             &SimConfig {
                 n_tasks: 2,
                 intervals: volumes.len(),
             },
-            &mut policy,
-            4,
-            model,
+            SimHooks {
+                queue: model,
+                ..SimHooks::new(&mut policy, 4)
+            },
         );
         assert!(
             report.scale_events.iter().any(|e| e.to > e.from),
@@ -690,8 +656,7 @@ mod tests {
                 n_tasks: 2,
                 intervals: volumes.len(),
             },
-            &mut policy,
-            4,
+            SimHooks::new(&mut policy, 4),
         );
         assert!(
             report.scale_events.is_empty(),
@@ -714,14 +679,14 @@ mod tests {
         let mut p = HashPartitioner::new(4);
         let mut src = zipf_source(1_000, 0.9, 0.2);
         let mut split = FixedSplitSchedule::cycle(42, 3, 1, 3);
-        let report = run_sim_elastic_split(
+        let report = run_sim_elastic(
             &mut p,
             &mut src,
             &cfg,
-            &mut HoldPolicy,
-            4,
-            QueueModel::none(),
-            &mut split,
+            SimHooks {
+                split: Some(&mut split),
+                ..SimHooks::new(&mut HoldPolicy, 4)
+            },
         );
         assert_eq!(
             report.split_events,
@@ -775,17 +740,17 @@ mod tests {
         // burst key carries ~96% of the interval, so share-based sizing
         // salts it across all four tasks.
         let mut hot = HotKeyPolicy::new(5_400.0);
-        let report = run_sim_elastic_split(
+        let report = run_sim_elastic(
             &mut p,
             &mut src,
             &SimConfig {
                 n_tasks: 4,
                 intervals: hot_cost.len(),
             },
-            &mut HoldPolicy,
-            4,
-            QueueModel::none(),
-            &mut hot,
+            SimHooks {
+                split: Some(&mut hot),
+                ..SimHooks::new(&mut HoldPolicy, 4)
+            },
         );
         assert_eq!(
             report.split_events,

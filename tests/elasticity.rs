@@ -27,9 +27,7 @@ use streambal::elastic::{
 use streambal::prelude::Key;
 use streambal::runtime::{Engine, EngineConfig, Tuple, WordCountOp};
 use streambal::sim::source::ReplaySource;
-use streambal::sim::{
-    run_sim_elastic, run_sim_elastic_queued, run_sim_elastic_split, QueueModel, SimConfig,
-};
+use streambal::sim::{run_sim_elastic, QueueModel, SimConfig, SimHooks};
 
 const N_TASKS: usize = 3;
 const MAX_TASKS: usize = 4;
@@ -126,8 +124,7 @@ fn sim_plans_and_engine_replays_the_identical_trace() {
             n_tasks: N_TASKS,
             intervals: intervals.len(),
         },
-        &mut sim_policy,
-        MAX_TASKS,
+        SimHooks::new(&mut sim_policy, MAX_TASKS),
     );
 
     // The policy layer is deterministic in the sim: exact stats in,
@@ -220,16 +217,17 @@ fn backpressure_sim_plan_replays_identically_on_the_engine() {
     policy.down_after = 2;
     policy.cooldown = 1;
     let mut p = partitioner();
-    let sim_report = run_sim_elastic_queued(
+    let sim_report = run_sim_elastic(
         &mut p,
         &mut src,
         &SimConfig {
             n_tasks: N_TASKS,
             intervals: intervals.len(),
         },
-        &mut policy,
-        MAX_TASKS,
-        model,
+        SimHooks {
+            queue: model,
+            ..SimHooks::new(&mut policy, MAX_TASKS)
+        },
     );
     assert_eq!(
         sim_report.scale_events,
@@ -338,17 +336,17 @@ fn split_sim_plan_replays_identically_on_the_engine() {
     // ⌈44_000/18_000⌉ = 3 replicas exactly cover the 3 tasks.
     let mut hot = HotKeyPolicy::new(21_600.0);
     let mut p = partitioner();
-    let sim_report = run_sim_elastic_split(
+    let sim_report = run_sim_elastic(
         &mut p,
         &mut src,
         &SimConfig {
             n_tasks: N_TASKS,
             intervals: intervals.len(),
         },
-        &mut HoldPolicy,
-        N_TASKS,
-        QueueModel::none(),
-        &mut hot,
+        SimHooks {
+            split: Some(&mut hot),
+            ..SimHooks::new(&mut HoldPolicy, N_TASKS)
+        },
     );
     assert_eq!(
         sim_report.split_events,
