@@ -82,5 +82,5 @@ pub use rebalance::{
     outcome_from_assignment, rebalance, BalanceParams, RebalanceInput, RebalanceOutcome,
     RebalanceStrategy, Rebalancer, TriggerPolicy,
 };
-pub use routing::{next_live, AssignmentFn, CompiledTable, RoutingTable};
+pub use routing::{divert, next_live, AssignmentFn, CompiledTable, RoutingTable};
 pub use stats::{IntervalStats, KeyRecord, KeyStat, StatsWindow};

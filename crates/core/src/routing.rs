@@ -1001,9 +1001,29 @@ pub fn next_live(dest: usize, n: usize, is_dead: impl Fn(usize) -> bool) -> usiz
     dest
 }
 
+/// Where traffic or state aimed at `dest` lands: `dest` itself while it
+/// is live, otherwise [`next_live`] past it.
+pub fn divert(dest: TaskId, n: usize, is_dead: impl Fn(usize) -> bool) -> TaskId {
+    if is_dead(dest.index()) {
+        TaskId::from(next_live(dest.index(), n, is_dead))
+    } else {
+        dest
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn divert_keeps_live_slots_and_cycles_past_dead_ones() {
+        let dead = |d: usize| d == 1 || d == 2;
+        assert_eq!(divert(TaskId(0), 4, dead), TaskId(0));
+        assert_eq!(divert(TaskId(1), 4, dead), TaskId(3));
+        assert_eq!(divert(TaskId(2), 4, dead), TaskId(3));
+        // A live slot outside the ring is left alone, not wrapped.
+        assert_eq!(divert(TaskId(5), 4, dead), TaskId(5));
+    }
 
     #[test]
     fn empty_table_routes_by_hash() {

@@ -3,10 +3,11 @@
 //! The elasticity controller: per-interval **scale-out / scale-in / hold**
 //! decisions driving downstream parallelism, the decision layer the paper
 //! motivates but leaves to a single hard-coded scale-out experiment
-//! (Fig. 15). Both drivers consult the same [`ElasticityPolicy`] at every
-//! interval boundary — the simulator through the `SimHooks` of
-//! `run_sim_elastic`, the engine through `EngineConfig::elasticity` — so
-//! a policy's decision trace is identical across them for matching load
+//! (Fig. 15). Both drivers call one decision stage, [`RoundDecider`], at
+//! every interval boundary — the simulator from `run_sim_elastic`, the
+//! engine from its controller — so the policies, every guard on their
+//! decisions, and the routing changes are one code path, and a policy's
+//! decision trace is identical across drivers for matching load
 //! observations.
 //!
 //! ## The observation
@@ -111,9 +112,14 @@
 //! close with a [`SplitObservation`], so split decision traces pin
 //! across sim and engine exactly like scale decisions do.
 //!
-//! This crate is dependency-free: policies are pure decision logic over
-//! load vectors, equally usable from the simulator, the engine, and the
-//! benches.
+//! Policies are pure decision logic over load vectors; the [`round`]
+//! module applies their decisions to a `streambal_core::Partitioner`.
+//! Neither touches threads, channels or clocks, so both are equally
+//! usable from the simulator, the engine, and the benches.
+
+pub mod round;
+
+pub use round::{Rebalance, RoundDecider, ScaleAction, ScaleLimits, SplitAction};
 
 /// One elasticity decision for the coming interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,11 +240,11 @@ impl IntervalObservation<'_> {
 ///
 /// Policies are stateful (streaks, cooldowns, EWMAs) and deterministic:
 /// the same observation sequence yields the same decision sequence, which
-/// is what makes sim and runtime traces comparable. Drivers clamp
-/// decisions against their hard bounds (a free worker slot for scale-out,
-/// more than one task for scale-in) — a clamped decision is skipped, not
-/// deferred, and the policy is *not* told, so it must keep deciding from
-/// observations alone.
+/// is what makes sim and runtime traces comparable. [`RoundDecider::scale`]
+/// clamps decisions against the driver's hard bounds (a free worker slot
+/// for scale-out, more than one task for scale-in) — a clamped decision
+/// is skipped, not deferred, and the policy is *not* told, so it must keep
+/// deciding from observations alone.
 pub trait ElasticityPolicy: Send + std::fmt::Debug {
     /// Display name for reports and bench legends.
     fn name(&self) -> String;
@@ -745,10 +751,11 @@ impl SplitObservation<'_> {
 /// A pluggable per-interval split/unsplit decision-maker.
 ///
 /// The contract mirrors [`ElasticityPolicy`]: stateful, deterministic,
-/// and clamped by the driver (splitting needs ≥ 2 tasks; a decision the
-/// driver cannot honour is skipped, not deferred, without telling the
-/// policy). At most one decision per interval — splitting is a protocol
-/// op with a pause window, so drivers serialize them like migrations.
+/// and clamped by [`RoundDecider::split`] (splitting needs ≥ 2 tasks; a
+/// decision the routing layer cannot honour is skipped, not deferred,
+/// without telling the policy). At most one decision per interval —
+/// splitting is a protocol op with a pause window, so drivers serialize
+/// them like migrations.
 pub trait SplitPolicy: Send + std::fmt::Debug {
     /// Display name for reports and bench legends.
     fn name(&self) -> String;

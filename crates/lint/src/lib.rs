@@ -31,6 +31,9 @@
 //!   `crates/runtime` non-test code — the flight recorder's data-plane
 //!   contract is batch granularity only (`count_batch` /
 //!   `close_interval`).
+//! * **L008** — no `ScaleDecision::` / `SplitDecision::` path in
+//!   `crates/runtime` + `crates/sim` non-test code — only the decision
+//!   stage in `crates/elastic` matches on policy decisions.
 //! * **L000** — a malformed `lint: allow` annotation (missing reason,
 //!   unknown rule name) is itself a violation.
 

@@ -1,5 +1,6 @@
 //! The lint rules, as passes over the token stream of one file (L001,
-//! L002, L003, L004, L006) or over the committed result JSONs (L005).
+//! L002, L003, L004, L006, L007, L008) or over the committed result
+//! JSONs (L005).
 
 use std::path::Path;
 
@@ -20,6 +21,9 @@ pub struct FileClass {
     pub data_plane: bool,
     /// L003 exempt: the whitelisted resync file or a test context.
     pub swap_allowed: bool,
+    /// L008 applies: the drivers of the decision stage
+    /// (`crates/runtime/src`, `crates/sim/src`).
+    pub decision_free: bool,
 }
 
 /// Per-token flags derived from `#[...]` attributes.
@@ -189,6 +193,28 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                             .to_string(),
                     });
                 }
+            }
+
+            // L008: a driver matching on a policy decision. Only the
+            // decision stage in `crates/elastic/src` reads `ScaleDecision`
+            // / `SplitDecision` values; a driver that does is growing a
+            // second copy of its guards.
+            if class.decision_free
+                && !marks.in_test[i]
+                && (name == "ScaleDecision" || name == "SplitDecision")
+                && next_is(&toks, i, ':')
+                && next_code(&toks, i).is_some_and(|n| next_is(&toks, n, ':'))
+            {
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: t.line,
+                    rule: "L008",
+                    msg: format!(
+                        "`{name}::` path in driver code — policy decisions are matched \
+                         only by the decision stage (`streambal_elastic::RoundDecider`); \
+                         act on its `ScaleAction` / `SplitAction` instead"
+                    ),
+                });
             }
 
             // L006: x86 intrinsics outside a cfg(target_arch) gate.

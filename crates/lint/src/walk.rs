@@ -40,6 +40,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
             || rel.starts_with("crates/trace/src/"),
         data_plane: rel.starts_with("crates/runtime/src/"),
         swap_allowed: rel == "crates/core/src/routing.rs" || test_ctx,
+        decision_free: rel.starts_with("crates/runtime/src/") || rel.starts_with("crates/sim/src/"),
     })
 }
 

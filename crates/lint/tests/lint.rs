@@ -23,6 +23,7 @@ fn full_class() -> FileClass {
         panic_scope: true,
         data_plane: true,
         swap_allowed: false,
+        decision_free: true,
     }
 }
 
@@ -126,6 +127,19 @@ fn l007_batch_granularity_ledger_annotated_and_test_sites_pass() {
 }
 
 #[test]
+fn l008_flags_decision_paths_in_driver_code() {
+    assert_eq!(
+        rules_hit("l008_fail.rs"),
+        vec![("L008", 5), ("L008", 7), ("L008", 14)]
+    );
+}
+
+#[test]
+fn l008_actions_imports_and_test_matches_pass() {
+    assert_eq!(rules_hit("l008_pass.rs"), vec![]);
+}
+
+#[test]
 fn l000_malformed_allows_are_flagged() {
     let no_reason = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic)\n    x.unwrap()\n}\n";
     let vs = scan_source("inline.rs", no_reason, &full_class());
@@ -163,6 +177,15 @@ fn classify_scopes_rules_by_path() {
     assert!(resync.swap_allowed);
     let t = classify("tests/cross_partitioner.rs").expect("scanned");
     assert!(!t.panic_scope && t.swap_allowed);
+    assert!(rt.decision_free);
+    let sim = classify("crates/sim/src/lib.rs").expect("scanned");
+    assert!(sim.decision_free && !sim.panic_scope && !sim.data_plane);
+    assert!(!core.decision_free);
+    assert!(
+        !classify("crates/elastic/src/round.rs")
+            .expect("scanned")
+            .decision_free
+    );
     let bench = classify("crates/bench/src/json.rs").expect("scanned");
     assert!(!bench.panic_scope && !bench.data_plane);
     assert!(classify("crates/lint/tests/fixtures/l001_violate.rs").is_none());

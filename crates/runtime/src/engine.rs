@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, SendTimeoutError, Sender};
-use streambal_core::{Key, Partitioner, RoutingView, TaskId};
+use streambal_core::{divert, Key, Partitioner, RoutingView, TaskId};
 use streambal_elastic::{
-    choose_replicas, ElasticityPolicy, HoldPolicy, IntervalObservation, ScaleDecision,
-    SplitDecision, SplitObservation, SplitPolicy,
+    ElasticityPolicy, HoldPolicy, Rebalance, RoundDecider, ScaleAction, ScaleLimits, SplitAction,
+    SplitPolicy,
 };
 use streambal_hashring::{FxHashMap, FxHashSet};
 use streambal_metrics::{Counter, Histogram, TimeSeries};
@@ -330,14 +330,28 @@ pub struct EngineReport {
     pub trace: TraceLog,
 }
 
-/// Keeps the earliest first-tuple interval across a slot's successive
-/// occupants (a retired slot can be re-provisioned mid-run).
-fn merge_first(slot: &mut Option<u64>, seen: Option<u64>) {
-    *slot = match (*slot, seen) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    };
+impl EngineReport {
+    /// Folds one exiting worker's totals into slot `w`: counts add up
+    /// across a slot's successive occupants (a retired slot can be
+    /// re-provisioned mid-run), and the earliest first-tuple interval
+    /// wins.
+    fn absorb_worker(
+        &mut self,
+        w: usize,
+        processed: u64,
+        latency: &Histogram,
+        first_interval: Option<u64>,
+    ) {
+        self.per_worker_processed[w] += processed;
+        self.processed += processed;
+        self.latency_us.merge(latency);
+        let slot = &mut self.first_tuple_interval[w];
+        *slot = match (*slot, first_interval) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        };
+    }
 }
 
 /// A planned migration waiting its turn (one in flight at a time).
@@ -368,12 +382,6 @@ enum PlannedOp {
     /// Retire `victim` (always the then-highest slot) under `view`, the
     /// routing function captured right after `Partitioner::scale_in`.
     ScaleIn { victim: TaskId, view: RoutingView },
-}
-
-impl PlannedOp {
-    fn is_scale_in(&self) -> bool {
-        matches!(self, PlannedOp::ScaleIn { .. })
-    }
 }
 
 /// An in-flight migration epoch.
@@ -414,12 +422,6 @@ struct ActiveRetire {
 enum ActiveOp {
     Migration(ActiveMigration),
     Retire(ActiveRetire),
-}
-
-impl ActiveOp {
-    fn is_scale_in(&self) -> bool {
-        matches!(self, ActiveOp::Retire(_))
-    }
 }
 
 /// Deadline clock for the one in-flight op: reset on every phase
@@ -592,6 +594,158 @@ fn send_src(
         return false;
     }
     true
+}
+
+/// Records a late echo of a closed epoch (a re-driven op's duplicate
+/// answer, a zombie victim's drain) as absorbed rather than as a
+/// protocol error.
+fn absorb_stale(injector: &FaultInjector, epoch: u64, what: &'static str) {
+    injector.record(FaultEvent::StaleEpochAbsorbed { epoch, what });
+}
+
+/// Groups drained state blobs by the slot `view` routes each key to,
+/// diverted past dead slots. Empty blobs carry nothing and are dropped.
+fn group_by_home(
+    states: impl IntoIterator<Item = (Key, Bytes)>,
+    view: RoutingView,
+    n_tasks: usize,
+    dead: &FxHashSet<usize>,
+) -> FxHashMap<TaskId, Vec<(Key, Bytes)>> {
+    let mut router = SourceRouter::from_view(view);
+    let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> = FxHashMap::default();
+    for (k, blob) in states {
+        if blob.is_empty() {
+            continue;
+        }
+        let d = divert(router.route(k), n_tasks, |x| dead.contains(&x));
+        by_dest.entry(d).or_default().push((k, blob));
+    }
+    by_dest
+}
+
+/// Re-homes state that arrived for a closed epoch — an aborted
+/// migration's holder that woke after the rollback, or a zombie victim
+/// whose drain completed anyway. The blobs have left their owner, so they
+/// go where the *current* view routes each key, on a fresh pre-closed
+/// `rehome` epoch: the installs are fire-and-forget and their acks
+/// absorb as stale.
+fn rehome_stale(
+    states: impl IntoIterator<Item = (Key, Bytes)>,
+    partitioner: &dyn Partitioner,
+    dead: &FxHashSet<usize>,
+    next_epoch: &mut u64,
+    closed_epochs: &mut FxHashMap<u64, &'static str>,
+    injector: &FaultInjector,
+    worker_txs: &[Sender<Message>],
+) {
+    let by_dest = group_by_home(
+        states,
+        partitioner.routing_view(),
+        partitioner.n_tasks(),
+        dead,
+    );
+    if by_dest.is_empty() {
+        return;
+    }
+    *next_epoch += 1;
+    closed_epochs.insert(*next_epoch, "rehome");
+    for (dest, states) in by_dest {
+        ctl_send(
+            injector,
+            &worker_txs[dest.index()],
+            dest.index(),
+            Message::StateInstall {
+                epoch: *next_epoch,
+                states,
+            },
+        );
+    }
+}
+
+/// Sends each destination its `StateInstall` for `epoch` and tracks it:
+/// the destination joins `awaiting`, and its blobs are kept in `sent` for
+/// idempotent deadline resends. StateInstall is never injector-dropped
+/// (it carries state); a failed send is recovered by the deadline or the
+/// destination's own death event.
+fn send_installs(
+    by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>>,
+    epoch: u64,
+    awaiting: &mut FxHashSet<TaskId>,
+    sent: &mut FxHashMap<TaskId, Vec<(Key, Bytes)>>,
+    injector: &FaultInjector,
+    worker_txs: &[Sender<Message>],
+) {
+    for (dest, states) in by_dest {
+        awaiting.insert(dest);
+        ctl_send(
+            injector,
+            &worker_txs[dest.index()],
+            dest.index(),
+            Message::StateInstall {
+                epoch,
+                states: states.clone(),
+            },
+        );
+        sent.insert(dest, states);
+    }
+}
+
+/// Deadline re-drive of an op's install phase: resends every install
+/// still awaited by a live destination (workers dedupe by epoch).
+fn resend_installs(
+    epoch: u64,
+    sent: &FxHashMap<TaskId, Vec<(Key, Bytes)>>,
+    awaiting: &FxHashSet<TaskId>,
+    dead: &FxHashSet<usize>,
+    injector: &FaultInjector,
+    worker_txs: &[Sender<Message>],
+) {
+    for (&dst, states) in sent {
+        if awaiting.contains(&dst) && !dead.contains(&dst.index()) {
+            ctl_send(
+                injector,
+                &worker_txs[dst.index()],
+                dst.index(),
+                Message::StateInstall {
+                    epoch,
+                    states: states.clone(),
+                },
+            );
+        }
+    }
+}
+
+/// Step 5b, once every holder of migration `m` has answered: forwards the
+/// collected state to its destinations, diverting any that died since the
+/// plan was cut to the next live slot (state must land where it can be
+/// drained at shutdown), and tracks the installs. Returns the view to
+/// resume with at once when there is nothing to install.
+fn forward_collected(
+    m: &mut ActiveMigration,
+    n_tasks: usize,
+    dead: &FxHashSet<usize>,
+    injector: &FaultInjector,
+    worker_txs: &[Sender<Message>],
+    rec: &mut ThreadRecorder,
+) -> Option<RoutingView> {
+    let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> = FxHashMap::default();
+    for (k, to, blob) in m.collected.drain(..) {
+        let d = divert(to, n_tasks, |x| dead.contains(&x));
+        by_dest.entry(d).or_default().push((k, blob));
+    }
+    if by_dest.is_empty() {
+        return Some(m.plan.view.clone());
+    }
+    rec.span_phase(m.epoch, Phase::Install);
+    send_installs(
+        by_dest,
+        m.epoch,
+        &mut m.awaiting_install,
+        &mut m.sent_installs,
+        injector,
+        worker_txs,
+    );
+    None
 }
 
 /// Shared ingredients for spawning worker threads (initially and on
@@ -859,6 +1013,9 @@ impl Engine {
             let _evt_idx = select.recv(&event_rx);
 
             'ctl: loop {
+                // The op this wake-up's event completed, with the view to
+                // resume under; resumed and closed right after the event.
+                let mut finished: Option<(u64, RoutingView)> = None;
                 // Bounded wait: the bottom half of the loop (deadline
                 // retries/aborts, stats-round expiry, the shutdown gate)
                 // must run even when no event arrives.
@@ -925,17 +1082,14 @@ impl Engine {
                                     }
                                 }
                                 SourceEvent::PauseAck { epoch } => {
-                                    let resume_now = match pending.as_mut() {
+                                    finished = match pending.as_mut() {
                                         None => {
                                             // A pause ack with nothing in
                                             // flight: a late echo of a closed
                                             // epoch (absorbed), or genuine
                                             // protocol desync (recorded).
                                             if closed_epochs.contains_key(&epoch) {
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "pause ack",
-                                                });
+                                                absorb_stale(&injector, epoch, "pause ack");
                                             } else {
                                                 report
                                                     .protocol_errors
@@ -948,10 +1102,7 @@ impl Engine {
                                                 // Duplicate (the pause was
                                                 // retried but the original ack
                                                 // was merely slow, not lost).
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "pause ack",
-                                                });
+                                                absorb_stale(&injector, epoch, "pause ack");
                                                 None
                                             } else {
                                                 m.pause_acked = true;
@@ -991,10 +1142,7 @@ impl Engine {
                                         }
                                         Some(ActiveOp::Retire(r)) if r.epoch == epoch => {
                                             if r.pause_acked {
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "pause ack",
-                                                });
+                                                absorb_stale(&injector, epoch, "pause ack");
                                             } else {
                                                 r.pause_acked = true;
                                                 op_clock = Some(OpClock::start(current_interval));
@@ -1018,35 +1166,15 @@ impl Engine {
                                             None
                                         }
                                         Some(_) => {
-                                            injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                epoch,
-                                                what: "pause ack",
-                                            });
+                                            absorb_stale(&injector, epoch, "pause ack");
                                             None
                                         }
-                                    };
-                                    if let Some(view) = resume_now {
-                                        issue_resume(
-                                            &injector,
-                                            &ctl_tx,
-                                            &mut resume_state,
-                                            &mut rec,
-                                            &open_spans,
-                                            epoch,
-                                            view,
-                                            current_interval,
-                                        );
-                                        closed_epochs.insert(epoch, "done");
-                                        pending = None;
-                                        op_clock = None;
                                     }
+                                    .map(|view| (epoch, view));
                                 }
                                 SourceEvent::ResumeAck { epoch } => {
                                     if resume_state.remove(&epoch).is_none() {
-                                        injector.record(FaultEvent::StaleEpochAbsorbed {
-                                            epoch,
-                                            what: "resume ack",
-                                        });
+                                        absorb_stale(&injector, epoch, "resume ack");
                                     } else if open_spans.remove(&epoch) {
                                         // The op's span runs to the ack: its
                                         // disruption window covers the whole
@@ -1136,47 +1264,16 @@ impl Engine {
                                             // bookkeeping divergence, worth
                                             // shouting about.
                                             if closed_epochs.contains_key(&epoch) {
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "state out",
-                                                });
-                                                let n_tasks = partitioner.n_tasks();
-                                                let mut router = SourceRouter::from_view(
-                                                    partitioner.routing_view(),
+                                                absorb_stale(&injector, epoch, "state out");
+                                                rehome_stale(
+                                                    states.into_iter().map(|(k, _to, b)| (k, b)),
+                                                    partitioner.as_ref(),
+                                                    &dead,
+                                                    &mut next_epoch,
+                                                    &mut closed_epochs,
+                                                    &injector,
+                                                    &worker_txs,
                                                 );
-                                                let mut by_dest: FxHashMap<
-                                                    TaskId,
-                                                    Vec<(Key, Bytes)>,
-                                                > = FxHashMap::default();
-                                                for (k, _to, blob) in states {
-                                                    if blob.is_empty() {
-                                                        continue;
-                                                    }
-                                                    let mut d = router.route(k);
-                                                    if dead.contains(&d.index()) {
-                                                        d = TaskId::from(next_live(
-                                                            d.index(),
-                                                            n_tasks,
-                                                            |x| dead.contains(&x),
-                                                        ));
-                                                    }
-                                                    by_dest.entry(d).or_default().push((k, blob));
-                                                }
-                                                if !by_dest.is_empty() {
-                                                    next_epoch += 1;
-                                                    closed_epochs.insert(next_epoch, "rehome");
-                                                    for (dest, st) in by_dest {
-                                                        ctl_send(
-                                                            &injector,
-                                                            &worker_txs[dest.index()],
-                                                            dest.index(),
-                                                            Message::StateInstall {
-                                                                epoch: next_epoch,
-                                                                states: st,
-                                                            },
-                                                        );
-                                                    }
-                                                }
                                             } else {
                                                 report.protocol_errors.push(
                                                     ProtocolError::StrayStateOut {
@@ -1194,10 +1291,7 @@ impl Engine {
                                         // MigrateOut: the first extraction
                                         // emptied the keys, so this one
                                         // carries nothing to keep.
-                                        injector.record(FaultEvent::StaleEpochAbsorbed {
-                                            epoch,
-                                            what: "state out",
-                                        });
+                                        absorb_stale(&injector, epoch, "state out");
                                         break 'state_out;
                                     }
                                     op_clock = Some(OpClock::start(current_interval));
@@ -1217,64 +1311,21 @@ impl Engine {
                                             .sum::<u64>();
                                     }
                                     m.collected.extend(states);
-                                    if m.awaiting_out.is_empty() {
-                                        // Step 5b: forward to destinations,
-                                        // diverting any that died since the
-                                        // plan was cut to the next live slot
-                                        // (state must land where it can be
-                                        // drained at shutdown).
-                                        let n_tasks = partitioner.n_tasks();
-                                        let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> =
-                                            FxHashMap::default();
-                                        for (k, to, blob) in m.collected.drain(..) {
-                                            let d = if dead.contains(&to.index()) {
-                                                TaskId::from(next_live(to.index(), n_tasks, |x| {
-                                                    dead.contains(&x)
-                                                }))
-                                            } else {
-                                                to
-                                            };
-                                            by_dest.entry(d).or_default().push((k, blob));
-                                        }
-                                        if by_dest.is_empty() {
-                                            issue_resume(
-                                                &injector,
-                                                &ctl_tx,
-                                                &mut resume_state,
-                                                &mut rec,
-                                                &open_spans,
-                                                epoch,
-                                                m.plan.view.clone(),
-                                                current_interval,
-                                            );
-                                            closed_epochs.insert(epoch, "done");
-                                            pending = None;
-                                            op_clock = None;
-                                        } else {
-                                            rec.span_phase(epoch, Phase::Install);
-                                            for (dest, states) in by_dest {
-                                                m.awaiting_install.insert(dest);
-                                                // StateInstall is never
-                                                // injector-dropped (it carries
-                                                // state); a failed send is
-                                                // recovered by the deadline or
-                                                // the dest's own death event.
-                                                ctl_send(
-                                                    &injector,
-                                                    &worker_txs[dest.index()],
-                                                    dest.index(),
-                                                    Message::StateInstall {
-                                                        epoch,
-                                                        states: states.clone(),
-                                                    },
-                                                );
-                                                m.sent_installs.insert(dest, states);
-                                            }
-                                        }
+                                    if !m.awaiting_out.is_empty() {
+                                        break 'state_out;
                                     }
+                                    finished = forward_collected(
+                                        m,
+                                        partitioner.n_tasks(),
+                                        &dead,
+                                        &injector,
+                                        &worker_txs,
+                                        &mut rec,
+                                    )
+                                    .map(|view| (epoch, view));
                                 }
                                 WorkerEvent::InstallAck { worker, epoch } => {
-                                    let resume_view = match pending.as_mut() {
+                                    finished = match pending.as_mut() {
                                         Some(ActiveOp::Migration(m)) if m.epoch == epoch => {
                                             if m.awaiting_install.remove(&worker) {
                                                 op_clock = Some(OpClock::start(current_interval));
@@ -1286,10 +1337,7 @@ impl Engine {
                                                 // Duplicate ack of a re-driven
                                                 // install (the worker dedupes
                                                 // the install, then re-acks).
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "install ack",
-                                                });
+                                                absorb_stale(&injector, epoch, "install ack");
                                                 None
                                             }
                                         }
@@ -1302,10 +1350,7 @@ impl Engine {
                                                     .is_empty()
                                                     .then(|| r.view.clone())
                                             } else {
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "install ack",
-                                                });
+                                                absorb_stale(&injector, epoch, "install ack");
                                                 None
                                             }
                                         }
@@ -1317,10 +1362,7 @@ impl Engine {
                                             // epoch is bookkeeping divergence,
                                             // not a reason to kill the pipeline.
                                             if closed_epochs.contains_key(&epoch) {
-                                                injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                    epoch,
-                                                    what: "install ack",
-                                                });
+                                                absorb_stale(&injector, epoch, "install ack");
                                             } else {
                                                 report.protocol_errors.push(
                                                     ProtocolError::StrayInstallAck {
@@ -1331,22 +1373,8 @@ impl Engine {
                                             }
                                             None
                                         }
-                                    };
-                                    if let Some(view) = resume_view {
-                                        issue_resume(
-                                            &injector,
-                                            &ctl_tx,
-                                            &mut resume_state,
-                                            &mut rec,
-                                            &open_spans,
-                                            epoch,
-                                            view,
-                                            current_interval,
-                                        );
-                                        closed_epochs.insert(epoch, "done");
-                                        pending = None;
-                                        op_clock = None;
                                     }
+                                    .map(|view| (epoch, view));
                                 }
                                 WorkerEvent::Retired {
                                     worker,
@@ -1358,6 +1386,27 @@ impl Engine {
                                     first_interval,
                                     rx,
                                 } => 'retired: {
+                                    // Keep the books whoever retired: merge its
+                                    // totals; fold its unreported residue into
+                                    // the oldest open round (issued while it
+                                    // was alive, so its slot exists) — dropping
+                                    // it would read as a load dip and
+                                    // re-trigger the scale-in policy; and give
+                                    // the slot's channel back (our sender
+                                    // clones live on, so a later scale-out can
+                                    // respawn here and no message can ever be
+                                    // silently dropped).
+                                    report.absorb_worker(
+                                        worker.index(),
+                                        processed,
+                                        &latency,
+                                        first_interval,
+                                    );
+                                    ledger.on_residue(worker, &stats);
+                                    worker_rxs[worker.index()] = Some(rx);
+                                    if retiring == Some(worker) {
+                                        retiring = None;
+                                    }
                                     let is_ours = matches!(
                                         pending.as_ref(),
                                         Some(ActiveOp::Retire(r)) if r.epoch == epoch
@@ -1367,79 +1416,30 @@ impl Engine {
                                         // aborted (deadline) but the Retire
                                         // marker had already landed, so the
                                         // drain completed anyway — or genuine
-                                        // divergence. Either way, keep the
-                                        // books: merge its totals, give the
-                                        // slot's channel back, and re-home its
-                                        // state under the *current* view on a
-                                        // fresh, pre-closed epoch (the installs
-                                        // are fire-and-forget; their acks
-                                        // absorb as stale).
-                                        let stale = closed_epochs.contains_key(&epoch);
-                                        if stale {
-                                            injector.record(FaultEvent::StaleEpochAbsorbed {
-                                                epoch,
-                                                what: "retired",
-                                            });
-                                        } else {
+                                        // divergence.
+                                        if !closed_epochs.contains_key(&epoch) {
                                             report.protocol_errors.push(
                                                 ProtocolError::StrayRetired {
                                                     worker: worker.index(),
                                                     epoch,
                                                 },
                                             );
+                                            break 'retired;
                                         }
-                                        report.per_worker_processed[worker.index()] += processed;
-                                        report.processed += processed;
-                                        report.latency_us.merge(&latency);
-                                        merge_first(
-                                            &mut report.first_tuple_interval[worker.index()],
-                                            first_interval,
-                                        );
-                                        ledger.on_residue(worker, &stats);
-                                        worker_rxs[worker.index()] = Some(rx);
-                                        if retiring == Some(worker) {
-                                            retiring = None;
-                                        }
-                                        if stale && worker.index() == active - 1 {
+                                        absorb_stale(&injector, epoch, "retired");
+                                        if worker.index() == active - 1 {
                                             ws.set_active(Instant::now(), active - 1 - dead.len());
                                             active -= 1;
                                         }
-                                        if stale {
-                                            let n_tasks = partitioner.n_tasks();
-                                            let mut router =
-                                                SourceRouter::from_view(partitioner.routing_view());
-                                            let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> =
-                                                FxHashMap::default();
-                                            for (k, blob) in states {
-                                                if blob.is_empty() {
-                                                    continue;
-                                                }
-                                                let mut d = router.route(k);
-                                                if dead.contains(&d.index()) {
-                                                    d = TaskId::from(next_live(
-                                                        d.index(),
-                                                        n_tasks,
-                                                        |x| dead.contains(&x),
-                                                    ));
-                                                }
-                                                by_dest.entry(d).or_default().push((k, blob));
-                                            }
-                                            if !by_dest.is_empty() {
-                                                next_epoch += 1;
-                                                closed_epochs.insert(next_epoch, "rehome");
-                                                for (dest, st) in by_dest {
-                                                    ctl_send(
-                                                        &injector,
-                                                        &worker_txs[dest.index()],
-                                                        dest.index(),
-                                                        Message::StateInstall {
-                                                            epoch: next_epoch,
-                                                            states: st,
-                                                        },
-                                                    );
-                                                }
-                                            }
-                                        }
+                                        rehome_stale(
+                                            states,
+                                            partitioner.as_ref(),
+                                            &dead,
+                                            &mut next_epoch,
+                                            &mut closed_epochs,
+                                            &injector,
+                                            &worker_txs,
+                                        );
                                         break 'retired;
                                     }
                                     // lint: allow(panic, reason = "is_ours above
@@ -1453,25 +1453,6 @@ impl Engine {
                                     // The victim's drained state is in hand —
                                     // the scale-in's state-out phase.
                                     rec.span_phase(epoch, Phase::StateOut);
-                                    report.per_worker_processed[worker.index()] += processed;
-                                    report.processed += processed;
-                                    report.latency_us.merge(&latency);
-                                    merge_first(
-                                        &mut report.first_tuple_interval[worker.index()],
-                                        first_interval,
-                                    );
-                                    // Fold the victim's unreported residue into
-                                    // the oldest open round (issued while the
-                                    // victim was alive, so its slot exists) —
-                                    // dropping it would read as a load dip and
-                                    // re-trigger the scale-in policy.
-                                    ledger.on_residue(worker, &stats);
-                                    // The slot's channel stays connected (our
-                                    // sender clones live on), so a later
-                                    // scale-out can respawn here and no message
-                                    // can ever be silently dropped.
-                                    worker_rxs[worker.index()] = Some(rx);
-                                    retiring = None;
                                     ws.set_active(Instant::now(), active - 1 - dead.len());
                                     active -= 1;
                                     debug_assert_eq!(worker.index(), active);
@@ -1480,51 +1461,25 @@ impl Engine {
                                     // op's delta is computed against — diverting
                                     // destinations that died since the view was
                                     // cut.
-                                    let n_tasks = partitioner.n_tasks();
-                                    let mut router = SourceRouter::from_view(r.view.clone());
-                                    let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> =
-                                        FxHashMap::default();
-                                    for (k, blob) in states {
-                                        if blob.is_empty() {
-                                            continue;
-                                        }
-                                        let mut d = router.route(k);
-                                        if dead.contains(&d.index()) {
-                                            d = TaskId::from(next_live(d.index(), n_tasks, |x| {
-                                                dead.contains(&x)
-                                            }));
-                                        }
-                                        by_dest.entry(d).or_default().push((k, blob));
-                                    }
+                                    let by_dest = group_by_home(
+                                        states,
+                                        r.view.clone(),
+                                        partitioner.n_tasks(),
+                                        &dead,
+                                    );
                                     if by_dest.is_empty() {
-                                        issue_resume(
-                                            &injector,
-                                            &ctl_tx,
-                                            &mut resume_state,
-                                            &mut rec,
-                                            &open_spans,
-                                            epoch,
-                                            r.view.clone(),
-                                            current_interval,
-                                        );
-                                        closed_epochs.insert(epoch, "done");
-                                        op_clock = None;
+                                        finished = Some((epoch, r.view));
                                     } else {
                                         rec.span_phase(epoch, Phase::Install);
-                                        for (dest, st) in by_dest {
-                                            debug_assert!(dest.index() < active);
-                                            r.awaiting_install.insert(dest);
-                                            ctl_send(
-                                                &injector,
-                                                &worker_txs[dest.index()],
-                                                dest.index(),
-                                                Message::StateInstall {
-                                                    epoch,
-                                                    states: st.clone(),
-                                                },
-                                            );
-                                            r.sent_installs.insert(dest, st);
-                                        }
+                                        debug_assert!(by_dest.keys().all(|d| d.index() < active));
+                                        send_installs(
+                                            by_dest,
+                                            epoch,
+                                            &mut r.awaiting_install,
+                                            &mut r.sent_installs,
+                                            &injector,
+                                            &worker_txs,
+                                        );
                                         pending = Some(ActiveOp::Retire(r));
                                     }
                                 }
@@ -1542,13 +1497,7 @@ impl Engine {
                                     // Keep the books: what the worker *did*
                                     // process counts; what it held is lost and
                                     // accounted per key.
-                                    report.per_worker_processed[w] += processed;
-                                    report.processed += processed;
-                                    report.latency_us.merge(&latency);
-                                    merge_first(
-                                        &mut report.first_tuple_interval[w],
-                                        first_interval,
-                                    );
+                                    report.absorb_worker(w, processed, &latency, first_interval);
                                     ledger.on_residue(worker, &stats);
                                     for closed in ledger.on_worker_dead(worker) {
                                         closed_rounds.push(closed);
@@ -1588,125 +1537,49 @@ impl Engine {
                                     // corpse: a pending phase waiting on the
                                     // dead worker must not wait for the
                                     // deadline to notice.
-                                    let mut resolve_retire: Option<(u64, RoutingView)> = None;
-                                    let mut forward_now = false;
                                     match pending.as_mut() {
                                         Some(ActiveOp::Migration(m)) => {
+                                            let epoch = m.epoch;
                                             if m.awaiting_out.remove(&worker)
                                                 && m.awaiting_out.is_empty()
                                             {
-                                                // Remaining extractions are all
-                                                // in; forward below (outside
-                                                // this borrow).
-                                                forward_now = true;
-                                            }
-                                            if m.awaiting_install.remove(&worker)
+                                                // The remaining extractions are
+                                                // all in: forward exactly as a
+                                                // final StateOut would have.
+                                                finished = forward_collected(
+                                                    m,
+                                                    partitioner.n_tasks(),
+                                                    &dead,
+                                                    &injector,
+                                                    &worker_txs,
+                                                    &mut rec,
+                                                )
+                                                .map(|view| (epoch, view));
+                                            } else if m.awaiting_install.remove(&worker)
                                                 && m.awaiting_install.is_empty()
                                             {
-                                                let epoch = m.epoch;
-                                                let view = m.plan.view.clone();
-                                                issue_resume(
-                                                    &injector,
-                                                    &ctl_tx,
-                                                    &mut resume_state,
-                                                    &mut rec,
-                                                    &open_spans,
-                                                    epoch,
-                                                    view,
-                                                    current_interval,
-                                                );
-                                                closed_epochs.insert(epoch, "done");
-                                                pending = None;
-                                                op_clock = None;
+                                                finished = Some((epoch, m.plan.view.clone()));
                                             }
-                                        }
-                                        Some(ActiveOp::Retire(r)) if r.victim == worker => {
-                                            // The victim died mid-retire: its
-                                            // state died with it (accounted
-                                            // above); resume under the shrunk
-                                            // view and close the op.
-                                            resolve_retire = Some((r.epoch, r.view.clone()));
                                         }
                                         Some(ActiveOp::Retire(r)) => {
-                                            // A re-home install dest died; the
-                                            // blob in its channel is counted
-                                            // by the DeadDestAck drain.
-                                            let was_awaited = r.awaiting_install.remove(&worker);
-                                            if was_awaited && r.awaiting_install.is_empty() {
-                                                resolve_retire = Some((r.epoch, r.view.clone()));
+                                            // The victim died mid-retire (its
+                                            // state died with it, accounted
+                                            // above), or the last awaited
+                                            // re-home dest did (the blob in its
+                                            // channel is counted by the
+                                            // DeadDestAck drain): resume under
+                                            // the shrunk view and close the op.
+                                            if r.victim == worker
+                                                || (r.awaiting_install.remove(&worker)
+                                                    && r.awaiting_install.is_empty())
+                                            {
+                                                finished = Some((r.epoch, r.view.clone()));
+                                            }
+                                            if retiring == Some(worker) {
+                                                retiring = None;
                                             }
                                         }
-                                        _ => {}
-                                    }
-                                    if forward_now {
-                                        // Re-enter the forwarding step exactly
-                                        // as a final StateOut would have.
-                                        if let Some(ActiveOp::Migration(m)) = pending.as_mut() {
-                                            let n_tasks = partitioner.n_tasks();
-                                            let epoch = m.epoch;
-                                            let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> =
-                                                FxHashMap::default();
-                                            for (k, to, blob) in m.collected.drain(..) {
-                                                let d = if dead.contains(&to.index()) {
-                                                    TaskId::from(next_live(
-                                                        to.index(),
-                                                        n_tasks,
-                                                        |x| dead.contains(&x),
-                                                    ))
-                                                } else {
-                                                    to
-                                                };
-                                                by_dest.entry(d).or_default().push((k, blob));
-                                            }
-                                            if by_dest.is_empty() {
-                                                issue_resume(
-                                                    &injector,
-                                                    &ctl_tx,
-                                                    &mut resume_state,
-                                                    &mut rec,
-                                                    &open_spans,
-                                                    epoch,
-                                                    m.plan.view.clone(),
-                                                    current_interval,
-                                                );
-                                                closed_epochs.insert(epoch, "done");
-                                                pending = None;
-                                                op_clock = None;
-                                            } else {
-                                                rec.span_phase(epoch, Phase::Install);
-                                                for (dest, st) in by_dest {
-                                                    m.awaiting_install.insert(dest);
-                                                    ctl_send(
-                                                        &injector,
-                                                        &worker_txs[dest.index()],
-                                                        dest.index(),
-                                                        Message::StateInstall {
-                                                            epoch,
-                                                            states: st.clone(),
-                                                        },
-                                                    );
-                                                    m.sent_installs.insert(dest, st);
-                                                }
-                                            }
-                                        }
-                                    }
-                                    if let Some((epoch, view)) = resolve_retire {
-                                        issue_resume(
-                                            &injector,
-                                            &ctl_tx,
-                                            &mut resume_state,
-                                            &mut rec,
-                                            &open_spans,
-                                            epoch,
-                                            view,
-                                            current_interval,
-                                        );
-                                        closed_epochs.insert(epoch, "done");
-                                        if retiring == Some(worker) {
-                                            retiring = None;
-                                        }
-                                        pending = None;
-                                        op_clock = None;
+                                        None => {}
                                     }
                                     // A death during the drain means one
                                     // Shutdown marker will never be answered.
@@ -1724,11 +1597,10 @@ impl Engine {
                                     latency,
                                     first_interval,
                                 } => {
-                                    report.per_worker_processed[worker.index()] += processed;
-                                    report.processed += processed;
-                                    report.latency_us.merge(&latency);
-                                    merge_first(
-                                        &mut report.first_tuple_interval[worker.index()],
+                                    report.absorb_worker(
+                                        worker.index(),
+                                        processed,
+                                        &latency,
                                         first_interval,
                                     );
                                     report.final_states.extend(final_states);
@@ -1740,6 +1612,22 @@ impl Engine {
                             }
                         }
                     }
+                }
+
+                if let Some((epoch, view)) = finished {
+                    issue_resume(
+                        &injector,
+                        &ctl_tx,
+                        &mut resume_state,
+                        &mut rec,
+                        &open_spans,
+                        epoch,
+                        view,
+                        current_interval,
+                    );
+                    closed_epochs.insert(epoch, "done");
+                    pending = None;
+                    op_clock = None;
                 }
 
                 // ---- bottom half: runs every wake-up, timeouts included ----
@@ -1782,43 +1670,36 @@ impl Engine {
                         round.p99_latency_us,
                     );
                     let merged = round.merged;
-                    let loads = round.loads;
-                    // Elasticity decision. The observation's parallelism
-                    // is the *planned* one — `partitioner.n_tasks()`,
-                    // which every decision mutates immediately — not the
-                    // physical worker count, which lags while retires
-                    // drain; deciding on the stale physical count would
-                    // re-trigger on parallelism the policy already gave
-                    // up. Scale-ins may queue (victims walk down from the
-                    // planned tail, ops execute in order); a scale-out is
-                    // skipped while any scale-in is still
-                    // re-provisioning, since the spawn slot must be the
-                    // contiguous physical tail.
-                    let planned = partitioner.n_tasks();
-                    let scale_in_flight = pending.as_ref().is_some_and(ActiveOp::is_scale_in)
-                        || queue.iter().any(PlannedOp::is_scale_in);
-                    let obs = IntervalObservation {
+                    // The shared decision stage: scale, split, rebalance,
+                    // each step mutating the partitioner. The physical half
+                    // of each action runs right after its step, so every
+                    // queued op captures the routing view its own step
+                    // left, before the next step changes it.
+                    let mut decider = RoundDecider {
                         interval,
-                        n_tasks: planned,
-                        loads: &loads,
+                        loads: &round.loads,
                         queue_depths: &round.queues,
                         mean_latency_us: round.mean_latency_us,
                         p99_latency_us: round.p99_latency_us,
-                        n_dead: dead.len(),
+                        dead: dead.iter().copied().collect(),
                     };
-                    match policy.decide(&obs) {
-                        ScaleDecision::ScaleOut if !dead.is_empty() => {
-                            // Re-provision the lowest dead slot rather
-                            // than widening: the capacity the policy
-                            // wants back is the capacity the death took.
-                            // Routing is untouched (the revived slot
-                            // starts key-less; the next rebalance loads
-                            // it) — only the source's divert set shrinks,
-                            // once it swaps in the fresh channel that
-                            // `ReviveDest` carries.
-                            // lint: allow(panic, reason = "guarded by
-                            // !dead.is_empty() on the arm")
-                            let slot = *dead.iter().min().expect("dead non-empty");
+                    let planned = partitioner.n_tasks();
+                    let limits = ScaleLimits {
+                        max_tasks: max_workers,
+                        // Physical width above the planned one: a retire
+                        // is queued, in flight, or its aborted victim is
+                        // still draining.
+                        scale_in_flight: active > planned,
+                        tail_free: worker_rxs.get(planned).is_some_and(Option::is_some),
+                        preplace: config.preplace,
+                    };
+                    match decider.scale(policy.as_mut(), partitioner.as_mut(), &merged, limits) {
+                        ScaleAction::Hold => {}
+                        ScaleAction::Revive { slot } => {
+                            // The revived slot starts key-less (the next
+                            // rebalance loads it): only the source's
+                            // divert set shrinks, once it swaps in the
+                            // fresh channel `ReviveDest` carries.
                             let (tx, rx) = bounded(config.channel_capacity);
                             worker_txs[slot] = tx.clone();
                             spawner.spawn(
@@ -1841,59 +1722,21 @@ impl Engine {
                             ws.set_active(Instant::now(), active - dead.len());
                             injector.record(FaultEvent::SlotRevived { worker: slot });
                         }
-                        ScaleDecision::ScaleOut if !scale_in_flight && active < max_workers => 'scale_out: {
-                            debug_assert_eq!(planned, active);
-                            let Some(rx) = worker_rxs[active].take() else {
-                                // The slot's receiver was never
-                                // returned (a prior retire
-                                // mismatch): record it and keep
-                                // running at the current width
-                                // rather than tearing down the
-                                // topology.
-                                report.protocol_errors.push(ProtocolError::ScaleOutAborted {
-                                    to: active + 1,
-                                    slot: active,
-                                });
-                                break 'scale_out;
-                            };
+                        ScaleAction::Widen { event, moves } => {
+                            let new = TaskId::from(event.from);
+                            debug_assert_eq!(event.from, active);
+                            // lint: allow(panic, reason = "the decider widens only
+                            // when tail_free saw this slot's receiver present")
+                            let rx = worker_rxs[active].take().expect("tail slot free");
                             ws.set_active(Instant::now(), active + 1 - dead.len());
-                            let live: Vec<Key> = merged.iter().map(|(k, _)| k).collect();
-                            spawner.spawn(
-                                s,
-                                active,
-                                rx,
-                                op_factory(TaskId::from(active)),
-                                interval + 1,
-                            );
-                            // Pre-placement (default): plan
-                            // the migration at provision
-                            // time — the new slot's keys
-                            // move in through the same
-                            // quiesce → install → resume
-                            // machinery as a rebalance, so
-                            // it takes load this interval.
-                            // The seed shape pins churn
-                            // instead and the slot idles
-                            // until the next rebalance.
-                            let (new, moves) = if config.preplace {
-                                partitioner.scale_out_plan(&live)
-                            } else {
-                                (partitioner.scale_out(&live), Vec::new())
-                            };
-                            debug_assert_eq!(new.index(), active);
-                            report.scale_events.push(ScaleEvent {
-                                interval,
-                                from: active,
-                                to: active + 1,
-                            });
+                            spawner.spawn(s, active, rx, op_factory(new), interval + 1);
+                            report.scale_events.push(event);
                             active += 1;
                             if moves.is_empty() {
-                                // Nothing to pre-place (seed
-                                // shape, or a key-oblivious
-                                // strategy whose new worker
-                                // takes traffic without any
-                                // state): publish the grown
-                                // view directly.
+                                // Nothing to pre-place (seed shape, or a
+                                // key-oblivious strategy whose new worker
+                                // takes traffic without any state): publish
+                                // the grown view directly.
                                 send_src(
                                     &injector,
                                     &ctl_tx,
@@ -1903,6 +1746,10 @@ impl Engine {
                                     },
                                 );
                             } else {
+                                // Pre-placement: the new slot's keys move in
+                                // through the same quiesce → install →
+                                // resume machinery as a rebalance, so it
+                                // takes load this interval.
                                 report.migrated_keys += moves.len() as u64;
                                 let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> =
                                     FxHashMap::default();
@@ -1920,214 +1767,117 @@ impl Engine {
                                 }));
                             }
                         }
-                        ScaleDecision::ScaleIn if !dead.is_empty() => {
-                            // Degraded: retiring a live worker while a
-                            // dead slot's keys are already packed onto
-                            // survivors would shed real capacity on top
-                            // of the loss. Hold, and let the ledger say
-                            // why the policy's wish was refused.
+                        ScaleAction::WidenAborted { slot } => {
+                            // The slot's receiver was never returned (a
+                            // prior retire mismatch): record it and keep
+                            // running at the current width rather than
+                            // tearing down the topology.
+                            report
+                                .protocol_errors
+                                .push(ProtocolError::ScaleOutAborted { to: slot + 1, slot });
+                        }
+                        ScaleAction::HeldDegraded => {
+                            // Let the ledger say why the policy's wish was
+                            // refused.
                             injector.record(FaultEvent::ScaleHeld { interval });
                         }
-                        ScaleDecision::ScaleIn if planned > 1 => {
-                            // Shrink the routing function now
-                            // (later decisions and rebalances
-                            // build on it); the physical
-                            // retirement queues behind any
+                        ScaleAction::Shrink { event } => {
+                            // The routing function already shrank (later
+                            // decisions and rebalances build on it); the
+                            // physical retirement queues behind any
                             // in-flight op.
-                            let victim = TaskId::from(planned - 1);
-                            let live: Vec<Key> = merged.iter().map(|(k, _)| k).collect();
-                            partitioner.scale_in(victim, &live);
-                            report.scale_events.push(ScaleEvent {
-                                interval,
-                                from: planned,
-                                to: planned - 1,
-                            });
+                            report.scale_events.push(event);
                             queue.push_back(PlannedOp::ScaleIn {
-                                victim,
+                                victim: TaskId::from(event.to),
                                 view: partitioner.routing_view(),
                             });
                         }
-                        _ => {}
                     }
-                    // Hot-key split decision: same cadence as elasticity,
-                    // executed through the same serialized protocol queue.
-                    // The observation's per-key costs are the merged round
-                    // totals — a split key's entry already sums its
-                    // replicas' partial loads, which is the signal the
-                    // unsplit watermark needs.
-                    if let Some(sp) = split_policy.as_mut() {
-                        let key_loads: Vec<(u64, u64)> =
-                            merged.iter().map(|(k, st)| (k.raw(), st.cost)).collect();
-                        let mut split_keys: Vec<u64> =
-                            partitioner.splits().iter().map(|(k, _)| k.raw()).collect();
-                        split_keys.sort_unstable();
-                        let sobs = SplitObservation {
-                            interval,
-                            n_tasks: planned,
-                            key_loads: &key_loads,
-                            split_keys: &split_keys,
-                        };
-                        match sp.decide(&sobs) {
-                            SplitDecision::Split { key, replicas }
-                                if planned >= 2 && replicas >= 2 && !split_keys.contains(&key) =>
-                            {
-                                // Replica slots: the key's current route
-                                // stays primary (unsplit consolidates back
-                                // onto it with no table change); the rest
-                                // are the least-loaded live tasks. Dead
-                                // slots sort last — routing to them would
-                                // only bounce off the source's divert.
-                                let k = Key(key);
-                                let primary = partitioner.route(k);
-                                let task_loads: Vec<u64> = (0..planned)
-                                    .map(|i| {
-                                        if dead.contains(&i) {
-                                            u64::MAX
-                                        } else {
-                                            loads.get(i).copied().unwrap_or(0)
-                                        }
-                                    })
-                                    .collect();
-                                let slots: Vec<TaskId> =
-                                    choose_replicas(primary.index(), &task_loads, replicas)
-                                        .into_iter()
-                                        .map(TaskId::from)
-                                        .collect();
-                                if slots.len() >= 2 && partitioner.split_key(k, &slots) {
-                                    report.split_events.push(SplitEvent {
-                                        interval,
-                                        key,
-                                        from: 1,
-                                        to: slots.len(),
-                                    });
-                                    // A split moves no state: the op is a
-                                    // degenerate migration whose pause
-                                    // window makes the view swap atomic
-                                    // (PauseAck with nothing awaited
-                                    // resumes immediately under the split
-                                    // view).
-                                    queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                                        by_source: FxHashMap::default(),
-                                        affected: vec![k],
-                                        view: partitioner.routing_view(),
-                                        preplaced: false,
-                                        label: OpLabel::Split,
-                                    }));
-                                }
-                            }
-                            SplitDecision::Unsplit { key } => {
-                                let k = Key(key);
-                                // `unsplit_key` consolidates the routing
-                                // onto the primary and returns the replica
-                                // set; the physical consolidation is a
-                                // real migration moving each live
-                                // non-primary replica's partial state into
-                                // the primary (whose `install` merges
-                                // additively).
-                                if let Some(replica_set) = partitioner.unsplit_key(k) {
-                                    let primary = replica_set[0];
-                                    let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> =
-                                        FxHashMap::default();
-                                    for &r in replica_set.iter().skip(1) {
-                                        if r != primary && !dead.contains(&r.index()) {
-                                            by_source.insert(r, vec![(k, primary)]);
-                                        }
-                                    }
-                                    report.split_events.push(SplitEvent {
-                                        interval,
-                                        key,
-                                        from: replica_set.len(),
-                                        to: 1,
-                                    });
-                                    // Billed like a pre-placement: the
-                                    // moved bytes are whatever partials
-                                    // the replicas actually hold, which
-                                    // no single interval's stats can
-                                    // size.
-                                    queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                                        by_source,
-                                        affected: vec![k],
-                                        view: partitioner.routing_view(),
-                                        preplaced: true,
-                                        label: OpLabel::Unsplit,
-                                    }));
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Some(out) = partitioner.end_interval(merged) {
-                        if !out.plan.is_empty() {
-                            report.rebalances += 1;
-                            report.migrated_keys += out.plan.keys_moved() as u64;
-                            report.migrated_bytes += out.plan.cost_bytes();
-                            let n_tasks = partitioner.n_tasks();
-                            let mut dead_involved = false;
-                            let mut fixups: Vec<(Key, TaskId)> = Vec::new();
-                            let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> =
-                                FxHashMap::default();
-                            let mut affected = Vec::with_capacity(out.plan.keys_moved());
-                            for mv in out.plan.moves() {
-                                affected.push(mv.key);
-                                let to = if dead.contains(&mv.to.index()) {
-                                    // The planner aimed a key at a corpse
-                                    // (its stats predate the death):
-                                    // divert it to the slot its traffic
-                                    // already lands on.
-                                    dead_involved = true;
-                                    let d = TaskId::from(next_live(mv.to.index(), n_tasks, |x| {
-                                        dead.contains(&x)
-                                    }));
-                                    fixups.push((mv.key, d));
-                                    d
-                                } else {
-                                    mv.to
-                                };
-                                if dead.contains(&mv.from.index()) {
-                                    // The holder died: its state is gone
-                                    // and already accounted, so this is a
-                                    // routing-only move.
-                                    dead_involved = true;
-                                    continue;
-                                }
-                                by_source.entry(mv.from).or_default().push((mv.key, to));
-                            }
-                            if !fixups.is_empty() {
-                                partitioner.apply_moves(&fixups);
-                            }
-                            // When the partitioner applied
-                            // the rebalance as a delta, ship
-                            // the source the same delta —
-                            // O(churn), and the source's
-                            // table stays in lockstep because
-                            // both sides mutate equal tables
-                            // identically. Swaps (and every
-                            // scale op above) keep shipping
-                            // full views: those are the
-                            // resync points. Dead involvement
-                            // also forces a full view — the
-                            // fixups above made the
-                            // controller's table diverge from
-                            // the plan's moves, so the raw
-                            // delta would desync the source.
-                            let view = if dead_involved {
-                                partitioner.routing_view()
-                            } else if partitioner.last_install_was_delta() {
-                                RoutingView::TableDelta {
-                                    n_tasks: partitioner.n_tasks(),
-                                    moves: out.plan.moves().iter().map(|m| (m.key, m.to)).collect(),
-                                }
-                            } else {
-                                partitioner.routing_view()
-                            };
+                    match decider.split(split_policy.as_deref_mut(), partitioner.as_mut(), &merged)
+                    {
+                        SplitAction::Hold => {}
+                        SplitAction::Split { event } => {
+                            report.split_events.push(event);
+                            // A split moves no state: the op is a
+                            // degenerate migration whose pause window makes
+                            // the view swap atomic (PauseAck with nothing
+                            // awaited resumes immediately under the split
+                            // view).
                             queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                                by_source,
-                                affected,
-                                view,
+                                by_source: FxHashMap::default(),
+                                affected: vec![Key(event.key)],
+                                view: partitioner.routing_view(),
                                 preplaced: false,
-                                label: OpLabel::Rebalance,
+                                label: OpLabel::Split,
                             }));
                         }
+                        SplitAction::Unsplit {
+                            event,
+                            primary,
+                            movers,
+                        } => {
+                            report.split_events.push(event);
+                            // A real migration: each live non-primary
+                            // replica's partial state moves into the
+                            // primary, whose `install` merges additively.
+                            // Billed like a pre-placement: the moved bytes
+                            // are whatever partials the replicas actually
+                            // hold, which no single interval's stats can
+                            // size.
+                            let k = Key(event.key);
+                            queue.push_back(PlannedOp::Migrate(PlannedMigration {
+                                by_source: movers
+                                    .into_iter()
+                                    .map(|r| (r, vec![(k, primary)]))
+                                    .collect(),
+                                affected: vec![k],
+                                view: partitioner.routing_view(),
+                                preplaced: true,
+                                label: OpLabel::Unsplit,
+                            }));
+                        }
+                    }
+                    // A rebalance that moves keys (an empty plan is a
+                    // planner call, not a rebalance) queues its migration.
+                    let rebalance = decider.rebalance(partitioner.as_mut(), merged);
+                    if let Some(rb) = rebalance.filter(Rebalance::fired) {
+                        let plan = &rb.outcome.plan;
+                        report.rebalances += 1;
+                        report.migrated_keys += plan.keys_moved() as u64;
+                        report.migrated_bytes += plan.cost_bytes();
+                        let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> =
+                            FxHashMap::default();
+                        for (holder, k, to) in rb.transfers {
+                            by_source.entry(holder).or_default().push((k, to));
+                        }
+                        // When the partitioner applied the rebalance as
+                        // a delta, ship the source the same delta —
+                        // O(churn), and the source's table stays in
+                        // lockstep because both sides mutate equal
+                        // tables identically. Swaps (and every scale op
+                        // above) keep shipping full views: those are
+                        // the resync points. Dead involvement also
+                        // forces a full view — the decider's diversions
+                        // made the controller's table diverge from the
+                        // plan's moves, so the raw delta would desync
+                        // the source.
+                        let view = if rb.dead_involved {
+                            partitioner.routing_view()
+                        } else if partitioner.last_install_was_delta() {
+                            RoutingView::TableDelta {
+                                n_tasks: partitioner.n_tasks(),
+                                moves: plan.moves().iter().map(|m| (m.key, m.to)).collect(),
+                            }
+                        } else {
+                            partitioner.routing_view()
+                        };
+                        queue.push_back(PlannedOp::Migrate(PlannedMigration {
+                            by_source,
+                            affected: plan.moves().iter().map(|m| m.key).collect(),
+                            view,
+                            preplaced: false,
+                            label: OpLabel::Rebalance,
+                        }));
                     }
                 }
 
@@ -2191,22 +1941,14 @@ impl Engine {
                                             );
                                         }
                                     } else {
-                                        for (&dst, states) in &m.sent_installs {
-                                            if !m.awaiting_install.contains(&dst)
-                                                || dead.contains(&dst.index())
-                                            {
-                                                continue;
-                                            }
-                                            ctl_send(
-                                                &injector,
-                                                &worker_txs[dst.index()],
-                                                dst.index(),
-                                                Message::StateInstall {
-                                                    epoch: m.epoch,
-                                                    states: states.clone(),
-                                                },
-                                            );
-                                        }
+                                        resend_installs(
+                                            m.epoch,
+                                            &m.sent_installs,
+                                            &m.awaiting_install,
+                                            &dead,
+                                            &injector,
+                                            &worker_txs,
+                                        );
                                     }
                                 }
                                 ActiveOp::Retire(r) => {
@@ -2233,22 +1975,14 @@ impl Engine {
                                             Message::Retire { epoch: r.epoch },
                                         );
                                     } else {
-                                        for (&dst, states) in &r.sent_installs {
-                                            if !r.awaiting_install.contains(&dst)
-                                                || dead.contains(&dst.index())
-                                            {
-                                                continue;
-                                            }
-                                            ctl_send(
-                                                &injector,
-                                                &worker_txs[dst.index()],
-                                                dst.index(),
-                                                Message::StateInstall {
-                                                    epoch: r.epoch,
-                                                    states: states.clone(),
-                                                },
-                                            );
-                                        }
+                                        resend_installs(
+                                            r.epoch,
+                                            &r.sent_installs,
+                                            &r.awaiting_install,
+                                            &dead,
+                                            &injector,
+                                            &worker_txs,
+                                        );
                                     }
                                 }
                             }
@@ -2285,13 +2019,7 @@ impl Engine {
                                 let mut origin_of: FxHashMap<Key, TaskId> = FxHashMap::default();
                                 let mut reverse: Vec<(Key, TaskId)> = Vec::new();
                                 for (&src, moves) in &m.plan.by_source {
-                                    let home = if dead.contains(&src.index()) {
-                                        TaskId::from(next_live(src.index(), n_tasks, |x| {
-                                            dead.contains(&x)
-                                        }))
-                                    } else {
-                                        src
-                                    };
+                                    let home = divert(src, n_tasks, |x| dead.contains(&x));
                                     for &(k, _) in moves {
                                         reverse.push((k, home));
                                         origin_of.insert(k, home);
@@ -2966,7 +2694,7 @@ mod tests {
     use streambal_baselines::CoreBalancer;
     use streambal_baselines::HashPartitioner;
     use streambal_core::{BalanceParams, RebalanceStrategy};
-    use streambal_elastic::FixedSchedule;
+    use streambal_elastic::{FixedSchedule, ScaleDecision};
     use streambal_workloads::FluctuatingWorkload;
 
     /// Reference word counts for a tuple sequence.

@@ -11,12 +11,10 @@
 //!
 //! The simulator models key-grouping semantics plus hot-key splitting:
 //! every key maps to one task unless a [`SplitPolicy`]
-//! ([`SimHooks::split`]) salts it across replica slots. The split
-//! *decision* layer runs here exactly as on the engine — same
-//! observation shape, same guards, same event records — so a split plan
-//! drafted in the simulator replays on the runtime `SplitEvent` for
-//! `SplitEvent`. Only the tuple-level consequences (replica partials,
-//! the merge stage) need the real engine.
+//! ([`SimHooks::split`]) salts it across replica slots. Scale, split and
+//! rebalance decisions go through the engine's own decision stage,
+//! [`RoundDecider`]; only the tuple-level consequences (replica
+//! partials, the merge stage) need the real engine.
 
 pub mod report;
 pub mod source;
@@ -24,10 +22,9 @@ pub mod source;
 pub use report::SimReport;
 pub use source::IntervalSource;
 
-use streambal_core::{loads_of, Key, Partitioner, RebalanceInput, TaskId};
+use streambal_core::{Key, LoadSummary, Partitioner, TaskId};
 use streambal_elastic::{
-    choose_replicas, ElasticityPolicy, HoldPolicy, IntervalObservation, ScaleDecision, ScaleEvent,
-    SplitDecision, SplitEvent, SplitObservation, SplitPolicy,
+    ElasticityPolicy, HoldPolicy, RoundDecider, ScaleAction, ScaleLimits, SplitPolicy,
 };
 use streambal_metrics::Stopwatch;
 
@@ -118,46 +115,21 @@ impl<'a> SimHooks<'a> {
 }
 
 /// [`run_sim`] with the engine controller's per-interval hooks: the same
-/// decision sequence, recorded in the same [`SimReport::scale_events`] /
-/// [`SimReport::split_events`] shapes as `EngineReport`'s, so traces
-/// compare with `==`.
+/// decision stage ([`RoundDecider`]), recorded in the same
+/// [`SimReport::scale_events`] / [`SimReport::split_events`] shapes as
+/// `EngineReport`'s, so traces compare with `==`.
 ///
 /// Per interval, in engine order: the source advances (its fluctuation
 /// process sees the partitioner's current destinations), loads are
 /// evaluated under the current assignment, and the queue model absorbs
 /// the interval's arrivals — its depths and latencies fill the same
-/// [`IntervalObservation`] fields the engine samples from its real
-/// channels, so queue-driven policies
-/// (`streambal_elastic::BackpressurePolicy`) plan here and replay on the
-/// engine like load-driven ones. The policy then decides: `ScaleOut`
-/// applies `Partitioner::scale_out_plan` (clamped at `max_tasks`; the
-/// pre-placement moves are notional here, state being simulated, but the
-/// *routing* delta matches the engine's exactly), `ScaleIn` applies
-/// `Partitioner::scale_in` on the highest-numbered task (clamped at one
-/// task). Next the split policy, if any, sees the interval's per-key
-/// costs and the current split set; its decisions execute through
-/// [`Partitioner::split_key`] / [`Partitioner::unsplit_key`] with the
-/// engine's guards and replica-slot choice ([`choose_replicas`] over the
-/// interval's task loads). Only then does `end_interval` run under the
-/// stopwatch, exactly as the controller consults both policies before
-/// the rebalance hook.
-///
-/// One divergence from the engine is inherent: the simulator has no
-/// physical state to drain, so a scale-in is instantaneous here, while
-/// the engine re-provisions over its retire protocol and *skips* a
-/// `ScaleOut` decided before queued retires finish (its spawn slot must
-/// be the contiguous physical tail). A policy that flaps in→out across
-/// adjacent intervals can therefore record a `ScaleOut` event here that
-/// the engine drops; traces are identical whenever consecutive opposite
-/// decisions are at least one engine re-provision apart (any policy with
-/// hysteresis or a cooldown, and every fixed schedule that spaces its
-/// reversals — `tests/elasticity.rs` pins the replay identity).
-///
-/// For the same reason, a split decided in the interval a scale decision
-/// also fired can see a one-task-newer routing here (the sim applies
-/// scale instantly, the engine queues it), so identical split traces need
-/// the two decision kinds at least one interval apart — free with any
-/// cooldown-carrying policy.
+/// [`IntervalObservation`](streambal_elastic::IntervalObservation)
+/// fields the engine samples from its real channels, so queue-driven
+/// policies (`streambal_elastic::BackpressurePolicy`) plan here and
+/// replay on the engine like load-driven ones. Then the round is
+/// decided: scale, split, and rebalance (`end_interval`, timed). A
+/// scale-out's pre-placement moves are notional here, state being
+/// simulated; a retire is instantaneous.
 pub fn run_sim_elastic(
     partitioner: &mut dyn Partitioner,
     source: &mut dyn IntervalSource,
@@ -181,36 +153,23 @@ pub fn run_sim_elastic(
     for interval in 0..cfg.intervals {
         let n_tasks = partitioner.n_tasks();
         let stats = source.next_interval(n_tasks, &mut |k| partitioner.route(k));
-        // Loads under the current assignment (before any rebalance).
+        // Loads and arrivals under the current assignment (before any
+        // rebalance).
         keys.clear();
         keys.extend(stats.iter().map(|(k, _)| k));
         partitioner.route_batch(&keys, &mut dests);
-        let records_input = RebalanceInput {
-            n_tasks,
-            records: {
-                let mut v = Vec::with_capacity(stats.len());
-                for ((k, s), &d) in stats.iter().zip(&dests) {
-                    v.push(streambal_core::KeyRecord {
-                        key: k,
-                        cost: s.cost,
-                        mem: s.mem,
-                        current: d,
-                        hash_dest: d, // unused for load accounting
-                    });
-                }
-                v
-            },
-        };
-        let summary = loads_of(&records_input.records, n_tasks);
+        let mut loads = vec![0u64; n_tasks];
+        let mut arrivals = vec![0.0f64; n_tasks];
+        for ((_, s), &d) in stats.iter().zip(&dests) {
+            loads[d.index()] += s.cost;
+            arrivals[d.index()] += s.freq as f64;
+        }
+        let summary = LoadSummary::new(loads);
         report.observe_interval(interval, &summary);
 
         // Queue model: absorb this interval's per-task arrivals, drain
         // the service rate, clamp to the channel bound — the state at
         // interval close is what the engine's controller samples.
-        let mut arrivals = vec![0.0f64; n_tasks];
-        for ((_, s), &d) in stats.iter().zip(&dests) {
-            arrivals[d.index()] += s.freq as f64;
-        }
         let mut queues: Vec<u64> = Vec::with_capacity(n_tasks);
         let mut lat_weighted = 0.0f64;
         let mut lat_total = 0.0f64;
@@ -236,106 +195,43 @@ pub fn run_sim_elastic(
             0.0
         };
 
-        // Elasticity decision on this interval's observations, mirroring
-        // the engine's controller (clamped decisions are skipped, and the
-        // policy is not told — it keeps deciding from observations).
-        let obs = IntervalObservation {
+        // The shared decision stage, step by step; between steps only
+        // the modeled backlog and the event records are the sim's own.
+        let mut decider = RoundDecider {
             interval: interval as u64,
-            n_tasks,
             loads: &summary.loads,
             queue_depths: &queues,
             mean_latency_us,
             p99_latency_us: p99,
-            n_dead: 0, // the simulator models no worker failures
+            dead: Vec::new(), // the simulator models no worker failures
         };
-        match policy.decide(&obs) {
-            ScaleDecision::ScaleOut if n_tasks < max_tasks => {
-                // The engine's pre-placement path: churned keys follow
-                // the grown ring (their simulated state moves with them
-                // for free — only the routing delta matters here).
-                let _ = partitioner.scale_out_plan(&keys);
+        match decider.scale(policy, partitioner, &stats, ScaleLimits::new(max_tasks)) {
+            ScaleAction::Widen { event, .. } => {
                 backlog.push(0.0); // the new slot joins drained
-                report.observe_scale(ScaleEvent {
-                    interval: interval as u64,
-                    from: n_tasks,
-                    to: n_tasks + 1,
-                });
+                report.observe_scale(event);
             }
-            ScaleDecision::ScaleIn if n_tasks > 1 => {
-                partitioner.scale_in(TaskId::from(n_tasks - 1), &keys);
+            ScaleAction::Shrink { event, .. } => {
                 // The victim drains its own backlog before retiring (the
                 // engine's Retire marker lands behind it), so its queue
                 // leaves with it.
-                backlog.truncate(n_tasks - 1);
-                report.observe_scale(ScaleEvent {
-                    interval: interval as u64,
-                    from: n_tasks,
-                    to: n_tasks - 1,
-                });
+                backlog.truncate(event.to);
+                report.observe_scale(event);
             }
             _ => {}
         }
-
-        // Hot-key split decision, mirroring the engine's controller: same
-        // cadence (after the scale decision, before `end_interval`), same
-        // observation (per-key interval costs — a split key's entry is
-        // its replicas' merged total here just as on the engine, the
-        // replayed stats being per *key*), same guards, same slot choice.
-        if let Some(sp) = split.as_deref_mut() {
-            let key_loads: Vec<(u64, u64)> = stats.iter().map(|(k, s)| (k.raw(), s.cost)).collect();
-            let mut split_keys: Vec<u64> =
-                partitioner.splits().iter().map(|(k, _)| k.raw()).collect();
-            split_keys.sort_unstable();
-            let sobs = SplitObservation {
-                interval: interval as u64,
-                n_tasks,
-                key_loads: &key_loads,
-                split_keys: &split_keys,
-            };
-            match sp.decide(&sobs) {
-                SplitDecision::Split { key, replicas }
-                    if n_tasks >= 2 && replicas >= 2 && !split_keys.contains(&key) =>
-                {
-                    // The key's current route stays primary; the other
-                    // slots are the least-loaded tasks (the simulator
-                    // models no worker failures, so no dead-slot filter).
-                    let k = Key(key);
-                    let primary = partitioner.route(k);
-                    let slots: Vec<TaskId> =
-                        choose_replicas(primary.index(), &summary.loads, replicas)
-                            .into_iter()
-                            .map(TaskId::from)
-                            .collect();
-                    if slots.len() >= 2 && partitioner.split_key(k, &slots) {
-                        report.observe_split(SplitEvent {
-                            interval: interval as u64,
-                            key,
-                            from: 1,
-                            to: slots.len(),
-                        });
-                    }
-                }
-                SplitDecision::Unsplit { key } => {
-                    // No state to consolidate here — the engine's partial
-                    // merge onto the primary is simulated for free.
-                    if let Some(replica_set) = partitioner.unsplit_key(Key(key)) {
-                        report.observe_split(SplitEvent {
-                            interval: interval as u64,
-                            key,
-                            from: replica_set.len(),
-                            to: 1,
-                        });
-                    }
-                }
-                _ => {}
-            }
+        if let Some(event) = decider
+            .split(split.as_deref_mut(), partitioner, &stats)
+            .event()
+        {
+            report.observe_split(event);
         }
-
         let watch = Stopwatch::start();
-        let outcome = partitioner.end_interval(stats);
+        let rebalance = decider.rebalance(partitioner, stats);
         let elapsed_ms = watch.elapsed_ms();
-        if let Some(out) = outcome {
-            report.observe_rebalance(interval, elapsed_ms, &out);
+        match rebalance {
+            Some(rb) if rb.fired() => report.observe_rebalance(interval, elapsed_ms, &rb.outcome),
+            Some(_) => report.gen_time_ms.add(elapsed_ms),
+            None => {}
         }
     }
     report

@@ -17,13 +17,15 @@ pub struct SimReport {
     pub skew_series: TimeSeries,
     /// Routing-table size per rebalance.
     pub table_series: TimeSeries,
-    /// Plan-generation wall time (ms) per fired rebalance.
+    /// Plan-generation wall time (ms) per planner outcome, including
+    /// outcomes whose plan is empty.
     pub gen_time_ms: OnlineStats,
     /// Migration cost as a fraction of total state, per fired rebalance.
     pub mig_fraction: OnlineStats,
     /// Post-rebalance (estimated) θ per fired rebalance.
     pub theta_after: OnlineStats,
-    /// Number of rebalances fired.
+    /// Number of rebalances fired: planner outcomes that move at least
+    /// one key, as the engine counts them.
     pub rebalances: usize,
     /// Executed elasticity decisions, in order (same type as the engine
     /// report's, so sim and runtime decision traces compare directly).

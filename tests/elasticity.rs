@@ -18,8 +18,11 @@
 //! margin survives a 2× total-load distortion. The engine's load-driven
 //! behaviour is covered by its own tests with order-robust assertions.)
 
-use streambal::baselines::CoreBalancer;
-use streambal::core::{BalanceParams, IntervalStats, RebalanceStrategy};
+use streambal::baselines::{CoreBalancer, HashPartitioner};
+use streambal::core::{
+    BalanceParams, IntervalStats, LoadSummary, MigrationPlan, Partitioner, RebalanceOutcome,
+    RebalanceStrategy, RoutingTable, RoutingView, TaskId,
+};
 use streambal::elastic::{
     BackpressurePolicy, FixedSchedule, FixedSplitSchedule, HoldPolicy, HotKeyPolicy, ScaleDecision,
     ScaleEvent, SplitDecision, SplitEvent, ThresholdPolicy,
@@ -461,4 +464,215 @@ fn elastic_run_bills_fewer_worker_seconds_than_static_peak() {
         "integral implausibly small: {}",
         report.worker_seconds
     );
+}
+
+/// Per-interval stats for the simulator, built from the tuple sequences
+/// the engine is fed (cost `SPIN + 1` per tuple, as the workers charge).
+fn replay_stats(intervals: &[Vec<Key>]) -> Vec<IntervalStats> {
+    intervals
+        .iter()
+        .map(|keys| {
+            let mut freqs = std::collections::BTreeMap::new();
+            for k in keys {
+                *freqs.entry(k.raw()).or_insert(0u64) += 1;
+            }
+            let mut iv = IntervalStats::new();
+            for (k, f) in freqs {
+                iv.observe(Key(k), f, f * (SPIN as u64 + 1), f * 8);
+            }
+            iv
+        })
+        .collect()
+}
+
+/// A scale decision and a split decision firing in the *same* interval
+/// — out + split at interval 2, in + unsplit at interval 4 — decide
+/// identically in both drivers: the split step sees the routing the
+/// scale step left, in the sim and on the engine alike, because both run
+/// the one decision stage. The sim plans from fixed schedules and the
+/// engine replays its traces; both traces must compare `==`, and the
+/// engine run stays lossless through the coincident ops.
+#[test]
+fn same_interval_scale_and_split_replay_identically_on_the_engine() {
+    const HOT: u64 = 500;
+    let intervals: Vec<Vec<Key>> = [0u64, 0, 4_000, 4_000, 0, 0, 0]
+        .iter()
+        .map(|&burst| {
+            let mut v: Vec<Key> = (0..2_000).map(|i| Key(i % 50)).collect();
+            v.extend((0..burst).map(|_| Key(HOT)));
+            v
+        })
+        .collect();
+
+    // --- simulator: plan from coincident fixed schedules -----------------
+    let mut src = ReplaySource::new(replay_stats(&intervals));
+    let mut scale = FixedSchedule::new([(2, ScaleDecision::ScaleOut), (4, ScaleDecision::ScaleIn)]);
+    let mut split = FixedSplitSchedule::cycle(HOT, 3, 2, 4);
+    let mut p = partitioner();
+    let sim_report = run_sim_elastic(
+        &mut p,
+        &mut src,
+        &SimConfig {
+            n_tasks: N_TASKS,
+            intervals: intervals.len(),
+        },
+        SimHooks {
+            split: Some(&mut split),
+            ..SimHooks::new(&mut scale, MAX_TASKS)
+        },
+    );
+    assert_eq!(
+        sim_report.scale_events,
+        vec![
+            ScaleEvent {
+                interval: 2,
+                from: 3,
+                to: 4,
+            },
+            ScaleEvent {
+                interval: 4,
+                from: 4,
+                to: 3,
+            },
+        ],
+        "sim scale trace"
+    );
+    assert_eq!(
+        sim_report
+            .split_events
+            .iter()
+            .map(|e| (e.interval, e.from > e.to))
+            .collect::<Vec<_>>(),
+        vec![(2, false), (4, true)],
+        "sim split trace: {:?}",
+        sim_report.split_events
+    );
+
+    // --- engine: replay both traces --------------------------------------
+    let scale_plan = FixedSchedule::new(sim_report.scale_events.iter().map(|e| {
+        let d = if e.to > e.from {
+            ScaleDecision::ScaleOut
+        } else {
+            ScaleDecision::ScaleIn
+        };
+        (e.interval, d)
+    }));
+    let split_plan = FixedSplitSchedule::new(sim_report.split_events.iter().map(|e| {
+        let d = if e.to > e.from {
+            SplitDecision::Split {
+                key: e.key,
+                replicas: e.to,
+            }
+        } else {
+            SplitDecision::Unsplit { key: e.key }
+        };
+        (e.interval, d)
+    }));
+    let feed = intervals.clone();
+    let engine_report = Engine::run(
+        EngineConfig {
+            n_workers: N_TASKS,
+            max_workers: MAX_TASKS,
+            spin_work: SPIN,
+            window: 100,
+            elasticity: Box::new(scale_plan),
+            split: Some(Box::new(split_plan)),
+            ..EngineConfig::default()
+        },
+        Box::new(partitioner()),
+        |_| Box::new(WordCountOp::new()),
+        move |iv| {
+            feed.get(iv as usize)
+                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+        },
+        None,
+    );
+    assert_eq!(engine_report.scale_events, sim_report.scale_events);
+    assert_eq!(engine_report.split_events, sim_report.split_events);
+    assert!(engine_report.protocol_errors.is_empty());
+    let total: u64 = intervals.iter().map(|v| v.len() as u64).sum();
+    assert_eq!(engine_report.processed, total);
+    let hot_count: u64 = engine_report
+        .final_states
+        .iter()
+        .filter(|(k, _)| k.raw() == HOT)
+        .map(|(_, blob)| {
+            WordCountOp::decode(blob)
+                .iter()
+                .map(|&(_, c)| c)
+                .sum::<u64>()
+        })
+        .sum();
+    assert_eq!(hot_count, 2 * 4_000, "merged hot-key count must be exact");
+}
+
+/// A planner that runs every interval but never moves a key: its
+/// outcome carries an empty plan.
+struct EmptyPlans(HashPartitioner);
+
+impl Partitioner for EmptyPlans {
+    fn name(&self) -> String {
+        "empty-plans".into()
+    }
+    fn n_tasks(&self) -> usize {
+        self.0.n_tasks()
+    }
+    fn route(&mut self, key: Key) -> TaskId {
+        self.0.route(key)
+    }
+    fn end_interval(&mut self, _stats: IntervalStats) -> Option<RebalanceOutcome> {
+        Some(RebalanceOutcome {
+            table: RoutingTable::new(),
+            plan: MigrationPlan::empty(),
+            loads: LoadSummary::new(vec![0; self.n_tasks()]),
+            achieved_theta: 0.0,
+            migration_fraction: 0.0,
+        })
+    }
+    fn routing_view(&self) -> RoutingView {
+        self.0.routing_view()
+    }
+}
+
+/// An outcome with an empty plan is a planner call, not a rebalance, in
+/// both drivers: neither counts it, and the simulator still times it.
+#[test]
+fn an_empty_plan_is_not_a_rebalance_in_either_driver() {
+    let intervals = intervals();
+    let mut src = ReplaySource::new(replay_stats(&intervals));
+    let mut p = EmptyPlans(HashPartitioner::new(N_TASKS));
+    let sim_report = run_sim_elastic(
+        &mut p,
+        &mut src,
+        &SimConfig {
+            n_tasks: N_TASKS,
+            intervals: intervals.len(),
+        },
+        SimHooks::new(&mut HoldPolicy, N_TASKS),
+    );
+    assert_eq!(sim_report.rebalances, 0);
+    assert_eq!(sim_report.theta_after.count(), 0);
+    assert_eq!(
+        sim_report.gen_time_ms.count(),
+        intervals.len() as u64,
+        "every planner call is timed"
+    );
+
+    let feed = intervals.clone();
+    let engine_report = Engine::run(
+        EngineConfig {
+            n_workers: N_TASKS,
+            spin_work: SPIN,
+            ..EngineConfig::default()
+        },
+        Box::new(EmptyPlans(HashPartitioner::new(N_TASKS))),
+        |_| Box::new(WordCountOp::new()),
+        move |iv| {
+            feed.get(iv as usize)
+                .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+        },
+        None,
+    );
+    assert_eq!(engine_report.rebalances, sim_report.rebalances);
+    assert_eq!(engine_report.migrated_keys, 0);
 }
