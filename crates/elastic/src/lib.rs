@@ -74,8 +74,7 @@
 //!    so the victim processes its entire backlog, then extracts **all**
 //!    remaining key state (not just last-interval keys — windowed state
 //!    outlives the statistics that created it), ships it to the
-//!    controller with its metrics and its (still-connected) channel
-//!    receiver, and exits.
+//!    controller with its metrics, and exits.
 //! 4. **Migrate + resume.** The controller re-installs the drained state
 //!    on each key's new home under the shrunk view (`StateInstall`, the
 //!    Fig. 5 step-5b path), waits for the install acks, and only then
@@ -93,9 +92,8 @@
 //! no tuple is lost or double-counted and no state is extracted before
 //! the tuples that produced it have landed — the per-tuple argument of
 //! the migration protocol, with "the victim's whole key set" as the
-//! affected set. The slot's channel survives retirement (the receiver
-//! travels back to the controller), so a later scale-out can re-provision
-//! the same slot mid-run with a fresh worker thread.
+//! affected set. A later scale-out can re-provision the slot mid-run: it
+//! gets a fresh channel and worker thread, like a revived dead slot.
 //!
 //! ## Hot-key splitting
 //!

@@ -46,9 +46,6 @@ pub struct ScaleLimits {
     /// A retire is still draining; widening waits, since the spawn slot
     /// must be the contiguous physical tail.
     pub scale_in_flight: bool,
-    /// The tail slot has a channel to hand a new worker (false only after
-    /// an engine retire mismatch).
-    pub tail_free: bool,
     /// Widen with `Partitioner::scale_out_plan` (pre-place state) rather
     /// than `Partitioner::scale_out` (pin churned keys).
     pub preplace: bool,
@@ -61,7 +58,6 @@ impl ScaleLimits {
         ScaleLimits {
             max_tasks,
             scale_in_flight: false,
-            tail_free: true,
             preplace: true,
         }
     }
@@ -85,12 +81,6 @@ pub enum ScaleAction {
         event: ScaleEvent,
         /// Pre-placement moves `(key, holder)` onto the new task.
         moves: Vec<(Key, TaskId)>,
-    },
-    /// Widening was due but the tail `slot` has no channel; routing is
-    /// untouched.
-    WidenAborted {
-        /// The slot that could not be provisioned.
-        slot: usize,
     },
     /// A scale-in refused while a slot is dead: retiring a live worker on
     /// top of an unplanned loss would shed real capacity.
@@ -204,8 +194,6 @@ impl RoundDecider<'_> {
                     ScaleAction::Revive { slot }
                 } else if limits.scale_in_flight || planned >= limits.max_tasks {
                     ScaleAction::Hold
-                } else if !limits.tail_free {
-                    ScaleAction::WidenAborted { slot: planned }
                 } else {
                     let moves = if limits.preplace {
                         partitioner.scale_out_plan(&live()).1
@@ -476,18 +464,6 @@ mod tests {
             a => panic!("expected a widening, got {a:?}"),
         }
         assert_eq!(p.n_tasks(), 5);
-    }
-
-    #[test]
-    fn a_widening_without_a_tail_slot_aborts_before_routing_changes() {
-        let mut p = Table::new(2);
-        let limits = ScaleLimits {
-            tail_free: false,
-            ..ScaleLimits::new(4)
-        };
-        let (action, _) = scale(ScaleDecision::ScaleOut, &mut p, &[], limits);
-        assert_eq!(action, ScaleAction::WidenAborted { slot: 2 });
-        assert_eq!(p.n_tasks(), 2);
     }
 
     #[test]

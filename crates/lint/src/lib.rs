@@ -34,6 +34,9 @@
 //! * **L008** — no `ScaleDecision::` / `SplitDecision::` path in
 //!   `crates/runtime` + `crates/sim` non-test code — only the decision
 //!   stage in `crates/elastic` matches on policy decisions.
+//! * **L009** — no `.recv(`, `select`, `spawn(` or `sleep(` in non-test
+//!   `crates/runtime/src/controller.rs` — the controller stays a
+//!   thread-free state machine the engine and tests drive event by event.
 //! * **L000** — a malformed `lint: allow` annotation (missing reason,
 //!   unknown rule name) is itself a violation.
 
@@ -50,7 +53,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line; 0 for whole-file diagnostics (L005 on JSON files).
     pub line: u32,
-    /// Rule id (`"L001"` … `"L006"`, `"L000"` for malformed allows).
+    /// Rule id (`"L001"` … `"L009"`, `"L000"` for malformed allows).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub msg: String,

@@ -1,6 +1,6 @@
 //! The lint rules, as passes over the token stream of one file (L001,
-//! L002, L003, L004, L006, L007, L008) or over the committed result
-//! JSONs (L005).
+//! L002, L003, L004, L006, L007, L008, L009) or over the committed
+//! result JSONs (L005).
 
 use std::path::Path;
 
@@ -24,6 +24,9 @@ pub struct FileClass {
     /// L008 applies: the drivers of the decision stage
     /// (`crates/runtime/src`, `crates/sim/src`).
     pub decision_free: bool,
+    /// L009 applies: the thread-free controller
+    /// (`crates/runtime/src/controller.rs`).
+    pub thread_free: bool,
 }
 
 /// Per-token flags derived from `#[...]` attributes.
@@ -215,6 +218,29 @@ pub fn scan_source(file: &str, src: &str, class: &FileClass) -> Vec<Violation> {
                          act on its `ScaleAction` / `SplitAction` instead"
                     ),
                 });
+            }
+
+            // L009: the controller receives, selects, spawns or sleeps.
+            // It is driven event by event — by the engine's select loop,
+            // or by a test — so it may only send.
+            if class.thread_free && !marks.in_test[i] {
+                let receive = (name == "recv" || name == "recv_timeout")
+                    && prev_is(&toks, i, '.')
+                    && next_is(&toks, i, '(');
+                let select = name.eq_ignore_ascii_case("select") || name.starts_with("select_");
+                let blocking = (name == "spawn" || name == "sleep") && next_is(&toks, i, '(');
+                if receive || select || blocking {
+                    out.push(Violation {
+                        file: file.to_string(),
+                        line: t.line,
+                        rule: "L009",
+                        msg: format!(
+                            "`{name}` in the controller — it stays thread-free (no \
+                             receive, select, thread spawn or sleep) so tests can drive \
+                             it event by event; the engine's event loop owns those"
+                        ),
+                    });
+                }
             }
 
             // L006: x86 intrinsics outside a cfg(target_arch) gate.

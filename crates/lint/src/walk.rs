@@ -41,6 +41,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
         data_plane: rel.starts_with("crates/runtime/src/"),
         swap_allowed: rel == "crates/core/src/routing.rs" || test_ctx,
         decision_free: rel.starts_with("crates/runtime/src/") || rel.starts_with("crates/sim/src/"),
+        thread_free: rel == "crates/runtime/src/controller.rs",
     })
 }
 

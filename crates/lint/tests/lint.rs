@@ -24,6 +24,7 @@ fn full_class() -> FileClass {
         data_plane: true,
         swap_allowed: false,
         decision_free: true,
+        thread_free: true,
     }
 }
 
@@ -140,6 +141,27 @@ fn l008_actions_imports_and_test_matches_pass() {
 }
 
 #[test]
+fn l009_flags_receives_selects_spawns_and_sleeps_in_the_controller() {
+    assert_eq!(
+        rules_hit("l009_fail.rs"),
+        vec![
+            ("L009", 7),
+            ("L009", 8),
+            ("L009", 9),
+            ("L009", 11),
+            ("L009", 12),
+            ("L009", 14),
+            ("L009", 18),
+        ]
+    );
+}
+
+#[test]
+fn l009_sends_try_recv_mentions_and_tests_pass() {
+    assert_eq!(rules_hit("l009_pass.rs"), vec![]);
+}
+
+#[test]
 fn l000_malformed_allows_are_flagged() {
     let no_reason = "fn f(x: Option<u32>) -> u32 {\n    // lint: allow(panic)\n    x.unwrap()\n}\n";
     let vs = scan_source("inline.rs", no_reason, &full_class());
@@ -186,6 +208,12 @@ fn classify_scopes_rules_by_path() {
             .expect("scanned")
             .decision_free
     );
+    assert!(
+        classify("crates/runtime/src/controller.rs")
+            .expect("scanned")
+            .thread_free
+    );
+    assert!(!rt.thread_free && !sim.thread_free);
     let bench = classify("crates/bench/src/json.rs").expect("scanned");
     assert!(!bench.panic_scope && !bench.data_plane);
     assert!(classify("crates/lint/tests/fixtures/l001_violate.rs").is_none());

@@ -1,4 +1,5 @@
-//! Engine wiring: source, workers, collector, and the Fig. 5 controller.
+//! Engine wiring: source, workers, collector, and the event loop of the
+//! Fig. 5 controller (whose state machine lives in `controller.rs`).
 //!
 //! The data plane is batched end-to-end: the source routes and ships
 //! tuples as [`Message::TupleBatch`]es from per-destination fan-out
@@ -12,23 +13,19 @@
 //! FIFO argument (see the crate docs) carries over verbatim with
 //! "tuple" replaced by "batch".
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, SendTimeoutError, Sender};
-use streambal_core::{divert, Key, Partitioner, RoutingView, TaskId};
-use streambal_elastic::{
-    ElasticityPolicy, HoldPolicy, Rebalance, RoundDecider, ScaleAction, ScaleLimits, SplitAction,
-    SplitPolicy,
-};
-use streambal_hashring::{FxHashMap, FxHashSet};
+use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
+use streambal_core::{Key, Partitioner, RoutingView, TaskId};
+use streambal_elastic::{ElasticityPolicy, HoldPolicy, SplitPolicy};
+use streambal_hashring::FxHashSet;
 use streambal_metrics::{Counter, Histogram, TimeSeries};
-use streambal_trace::{OpLabel, Outcome, Phase, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
+use streambal_trace::{Outcome, ThreadLabel, ThreadRecorder, TraceLog, TraceSink};
 
-use crate::controller::{ClosedRound, StatsLedger, WorkerSeconds};
-use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan, OpKind, SendPeer};
+use crate::controller::{Controller, Spawn};
+use crate::fault::{next_live, CtlKind, FaultEvent, FaultInjector, FaultPlan};
 use crate::message::{Message, SourceCtl, SourceEvent, WorkerEvent};
 use crate::operator::{Collector, Operator};
 use crate::router::SourceRouter;
@@ -206,14 +203,6 @@ pub enum ProtocolError {
         /// The orphaned epoch.
         epoch: u64,
     },
-    /// A scale-out decision found the spawn slot's receiver missing (a
-    /// prior retire mismatch); the engine kept its current width.
-    ScaleOutAborted {
-        /// The parallelism the decision aimed for.
-        to: usize,
-        /// The slot with no channel to hand out.
-        slot: usize,
-    },
     /// An auxiliary thread (source or collector) panicked; the run
     /// completed without it.
     ThreadPanicked {
@@ -244,10 +233,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::StrayRetired { worker, epoch } => write!(
                 f,
                 "Retired from worker {worker} for epoch {epoch} with no pending scale-in"
-            ),
-            ProtocolError::ScaleOutAborted { to, slot } => write!(
-                f,
-                "scale-out to {to} aborted: worker slot {slot} has no channel to hand out"
             ),
             ProtocolError::ThreadPanicked { thread } => {
                 write!(f, "{thread} thread panicked")
@@ -300,8 +285,7 @@ pub struct EngineReport {
     pub first_tuple_interval: Vec<Option<u64>>,
     /// Violations of the pause→migrate→resume protocol the controller
     /// observed and survived: an ack or state transfer arriving with no
-    /// matching in-flight op, a scale-out slot with no receiver, an
-    /// auxiliary thread that panicked. Each entry names the event and
+    /// matching in-flight op, or an auxiliary thread that panicked. Each entry names the event and
     /// what was dropped or skipped. The controller used to panic on
     /// these (poisoning every channel and deadlocking the topology
     /// mid-protocol); now the run completes and the report carries the
@@ -335,7 +319,7 @@ impl EngineReport {
     /// across a slot's successive occupants (a retired slot can be
     /// re-provisioned mid-run), and the earliest first-tuple interval
     /// wins.
-    fn absorb_worker(
+    pub(crate) fn absorb_worker(
         &mut self,
         w: usize,
         processed: u64,
@@ -354,400 +338,6 @@ impl EngineReport {
     }
 }
 
-/// A planned migration waiting its turn (one in flight at a time).
-struct PlannedMigration {
-    /// Moves grouped by source worker.
-    by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>>,
-    affected: Vec<Key>,
-    view: RoutingView,
-    /// A scale-out pre-placement plan (vs. a rebalance): its
-    /// `migrated_bytes` are billed from the *actual* extracted blobs at
-    /// `StateOut` — the plan covers windowed state a single interval's
-    /// statistics cannot size — where a rebalance is billed up front
-    /// from its plan's windowed-mem estimate, as always.
-    preplaced: bool,
-    /// What the op's flight-recorder span is labelled: `ScaleOut`,
-    /// `Rebalance`, `Split` (degenerate: empty `by_source`), or
-    /// `Unsplit` (replica partials consolidating into the primary).
-    label: OpLabel,
-}
-
-/// A control-plane operation queued behind the in-flight one. Migrations
-/// and scale-ins serialize through the same queue, so state placement
-/// always advances one routing-function delta at a time — each op moves
-/// state from the previous op's placement to its own captured view.
-enum PlannedOp {
-    /// A rebalance migration (Fig. 5).
-    Migrate(PlannedMigration),
-    /// Retire `victim` (always the then-highest slot) under `view`, the
-    /// routing function captured right after `Partitioner::scale_in`.
-    ScaleIn { victim: TaskId, view: RoutingView },
-}
-
-/// An in-flight migration epoch.
-struct ActiveMigration {
-    epoch: u64,
-    plan: PlannedMigration,
-    /// Whether the source acknowledged the pause — the phase a deadline
-    /// retry must re-drive when false.
-    pause_acked: bool,
-    awaiting_out: FxHashSet<TaskId>,
-    collected: Vec<(Key, TaskId, Bytes)>,
-    awaiting_install: FxHashSet<TaskId>,
-    /// Installs already sent, kept for idempotent deadline resends (the
-    /// worker dedupes by epoch) and for rollback accounting. `Bytes`
-    /// blobs are refcounted, so the clones are cheap.
-    sent_installs: FxHashMap<TaskId, Vec<(Key, Bytes)>>,
-    /// Whether the span's `StateOut` phase marker was recorded (at the
-    /// first live extraction) — phases are recorded exactly once;
-    /// deadline re-drives and duplicate answers must not repeat them.
-    state_out_marked: bool,
-}
-
-/// An in-flight scale-in: pause-dest → retire → re-install → resume.
-struct ActiveRetire {
-    epoch: u64,
-    victim: TaskId,
-    view: RoutingView,
-    pause_acked: bool,
-    /// Whether the Retire marker went out (deadline retries resend it —
-    /// the victim answers the first one it sees; a duplicate lands on a
-    /// drained channel and is discarded with it).
-    retire_sent: bool,
-    awaiting_install: FxHashSet<TaskId>,
-    sent_installs: FxHashMap<TaskId, Vec<(Key, Bytes)>>,
-}
-
-/// The one control-plane operation in flight.
-enum ActiveOp {
-    Migration(ActiveMigration),
-    Retire(ActiveRetire),
-}
-
-/// Deadline clock for the one in-flight op: reset on every phase
-/// progress, compared against the interval count *and* wall time (see
-/// [`EngineConfig::op_deadline_intervals`]).
-struct OpClock {
-    started: Instant,
-    started_interval: u64,
-    /// One retry per phase-stall; the second expiry aborts.
-    retried: bool,
-}
-
-impl OpClock {
-    fn start(interval: u64) -> Self {
-        OpClock {
-            started: Instant::now(),
-            started_interval: interval,
-            retried: false,
-        }
-    }
-}
-
-/// An outstanding source resume: the view to re-drive it with and its
-/// deadline clock. Resumes are retried but never aborted — an abandoned
-/// resume would leave pause-buffered tuples unflushed, which is
-/// unaccounted loss; and the source cannot have died (it runs the
-/// resume handler) short of the whole engine tearing down.
-struct ResumeClock {
-    view: RoutingView,
-    started: Instant,
-    started_interval: u64,
-    retried: bool,
-}
-
-/// Longest the controller will wait for room in a worker's channel. A
-/// live worker drains continuously, so a one-unit slot opens in well
-/// under this; only a worker that died with a full queue (its `Killed`
-/// event still in flight) keeps the channel full for the whole bound.
-const CTL_SEND_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Bounded-wait control send to worker slot `w`. The controller must
-/// never block indefinitely against a worker channel: the worker may
-/// have died with a full queue before its `Killed` event was processed,
-/// and a wedged controller can drain neither that event nor the dead
-/// channel. A timeout is treated like a message lost in flight — the
-/// deadline machinery re-drives it; a disconnect is recorded.
-fn ctl_send(injector: &FaultInjector, tx: &Sender<Message>, w: usize, msg: Message) -> bool {
-    match tx.send_timeout(msg, CTL_SEND_TIMEOUT) {
-        Ok(()) => true,
-        Err(SendTimeoutError::Timeout(_)) => false,
-        Err(SendTimeoutError::Disconnected(_)) => {
-            injector.record(FaultEvent::SendFailed {
-                to: SendPeer::Worker(w),
-            });
-            false
-        }
-    }
-}
-
-/// Sends a control marker to worker `w` through the drop gate. Returns
-/// false when the message did not reach the channel — injected drop
-/// (proceed as if lost in flight; the deadline machinery recovers), a
-/// full channel that never opened (same recovery), or a disconnected
-/// receiver, which is recorded as a failed send.
-fn send_ctl_marker(
-    injector: &FaultInjector,
-    txs: &[Sender<Message>],
-    w: usize,
-    kind: CtlKind,
-    msg: Message,
-) -> bool {
-    if !injector.is_passive() && injector.should_drop(kind) {
-        return false;
-    }
-    ctl_send(injector, &txs[w], w, msg)
-}
-
-/// Drains whatever currently sits in a dead worker's channel, counting
-/// every in-flight tuple and state blob into the per-key loss map;
-/// returns the total drained. Called repeatedly while the source may
-/// still be routing at the slot — a bounded channel left un-drained
-/// would fill and backpressure the source against a corpse — and one
-/// final time when the source acknowledges the death.
-fn drain_dead_channel(
-    rx: &Receiver<Message>,
-    sop: &mut dyn Operator,
-    lost: &mut FxHashMap<Key, u64>,
-) -> u64 {
-    let mut n_lost = 0u64;
-    while let Ok(msg) = rx.try_recv() {
-        match msg {
-            Message::TupleBatch(batch) => {
-                for t in &batch {
-                    *lost.entry(t.key).or_insert(0) += 1;
-                    n_lost += 1;
-                }
-            }
-            Message::StateInstall { states, .. } => {
-                for (k, blob) in states {
-                    let n = sop.tuples_in_blob(&blob);
-                    *lost.entry(k).or_insert(0) += n;
-                    n_lost += n;
-                }
-            }
-            _ => {}
-        }
-    }
-    n_lost
-}
-
-/// Issues (or re-issues on a fresh epoch) a source resume and arms its
-/// deadline clock. A resume dropped by the injector is indistinguishable
-/// from a slow one; the clock re-drives it. When the epoch still has an
-/// open trace span (normal completion — aborted spans are closed before
-/// their rollback resume), the span's `Resume` phase is recorded here,
-/// once: deadline re-drives bypass this function.
-#[allow(clippy::too_many_arguments)]
-fn issue_resume(
-    injector: &FaultInjector,
-    ctl_tx: &Sender<SourceCtl>,
-    resume_state: &mut FxHashMap<u64, ResumeClock>,
-    rec: &mut ThreadRecorder,
-    open_spans: &FxHashSet<u64>,
-    epoch: u64,
-    view: RoutingView,
-    current_interval: u64,
-) {
-    if open_spans.contains(&epoch) {
-        rec.span_phase(epoch, Phase::Resume);
-    }
-    send_src(
-        injector,
-        ctl_tx,
-        Some(CtlKind::Resume),
-        SourceCtl::Resume {
-            epoch,
-            view: view.clone(),
-        },
-    );
-    resume_state.insert(
-        epoch,
-        ResumeClock {
-            view,
-            started: Instant::now(),
-            started_interval: current_interval,
-            retried: false,
-        },
-    );
-}
-
-/// Sends a source control message, drop-gating it when `kind` names a
-/// droppable control kind (view updates and shutdown are never dropped:
-/// losing them models nothing a real network loses independently of the
-/// protocol messages around them).
-fn send_src(
-    injector: &FaultInjector,
-    ctl_tx: &Sender<SourceCtl>,
-    kind: Option<CtlKind>,
-    msg: SourceCtl,
-) -> bool {
-    if let Some(k) = kind {
-        if !injector.is_passive() && injector.should_drop(k) {
-            return false;
-        }
-    }
-    if ctl_tx.send(msg).is_err() {
-        injector.record(FaultEvent::SendFailed {
-            to: SendPeer::Source,
-        });
-        return false;
-    }
-    true
-}
-
-/// Records a late echo of a closed epoch (a re-driven op's duplicate
-/// answer, a zombie victim's drain) as absorbed rather than as a
-/// protocol error.
-fn absorb_stale(injector: &FaultInjector, epoch: u64, what: &'static str) {
-    injector.record(FaultEvent::StaleEpochAbsorbed { epoch, what });
-}
-
-/// Groups drained state blobs by the slot `view` routes each key to,
-/// diverted past dead slots. Empty blobs carry nothing and are dropped.
-fn group_by_home(
-    states: impl IntoIterator<Item = (Key, Bytes)>,
-    view: RoutingView,
-    n_tasks: usize,
-    dead: &FxHashSet<usize>,
-) -> FxHashMap<TaskId, Vec<(Key, Bytes)>> {
-    let mut router = SourceRouter::from_view(view);
-    let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> = FxHashMap::default();
-    for (k, blob) in states {
-        if blob.is_empty() {
-            continue;
-        }
-        let d = divert(router.route(k), n_tasks, |x| dead.contains(&x));
-        by_dest.entry(d).or_default().push((k, blob));
-    }
-    by_dest
-}
-
-/// Re-homes state that arrived for a closed epoch — an aborted
-/// migration's holder that woke after the rollback, or a zombie victim
-/// whose drain completed anyway. The blobs have left their owner, so they
-/// go where the *current* view routes each key, on a fresh pre-closed
-/// `rehome` epoch: the installs are fire-and-forget and their acks
-/// absorb as stale.
-fn rehome_stale(
-    states: impl IntoIterator<Item = (Key, Bytes)>,
-    partitioner: &dyn Partitioner,
-    dead: &FxHashSet<usize>,
-    next_epoch: &mut u64,
-    closed_epochs: &mut FxHashMap<u64, &'static str>,
-    injector: &FaultInjector,
-    worker_txs: &[Sender<Message>],
-) {
-    let by_dest = group_by_home(
-        states,
-        partitioner.routing_view(),
-        partitioner.n_tasks(),
-        dead,
-    );
-    if by_dest.is_empty() {
-        return;
-    }
-    *next_epoch += 1;
-    closed_epochs.insert(*next_epoch, "rehome");
-    for (dest, states) in by_dest {
-        ctl_send(
-            injector,
-            &worker_txs[dest.index()],
-            dest.index(),
-            Message::StateInstall {
-                epoch: *next_epoch,
-                states,
-            },
-        );
-    }
-}
-
-/// Sends each destination its `StateInstall` for `epoch` and tracks it:
-/// the destination joins `awaiting`, and its blobs are kept in `sent` for
-/// idempotent deadline resends. StateInstall is never injector-dropped
-/// (it carries state); a failed send is recovered by the deadline or the
-/// destination's own death event.
-fn send_installs(
-    by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>>,
-    epoch: u64,
-    awaiting: &mut FxHashSet<TaskId>,
-    sent: &mut FxHashMap<TaskId, Vec<(Key, Bytes)>>,
-    injector: &FaultInjector,
-    worker_txs: &[Sender<Message>],
-) {
-    for (dest, states) in by_dest {
-        awaiting.insert(dest);
-        ctl_send(
-            injector,
-            &worker_txs[dest.index()],
-            dest.index(),
-            Message::StateInstall {
-                epoch,
-                states: states.clone(),
-            },
-        );
-        sent.insert(dest, states);
-    }
-}
-
-/// Deadline re-drive of an op's install phase: resends every install
-/// still awaited by a live destination (workers dedupe by epoch).
-fn resend_installs(
-    epoch: u64,
-    sent: &FxHashMap<TaskId, Vec<(Key, Bytes)>>,
-    awaiting: &FxHashSet<TaskId>,
-    dead: &FxHashSet<usize>,
-    injector: &FaultInjector,
-    worker_txs: &[Sender<Message>],
-) {
-    for (&dst, states) in sent {
-        if awaiting.contains(&dst) && !dead.contains(&dst.index()) {
-            ctl_send(
-                injector,
-                &worker_txs[dst.index()],
-                dst.index(),
-                Message::StateInstall {
-                    epoch,
-                    states: states.clone(),
-                },
-            );
-        }
-    }
-}
-
-/// Step 5b, once every holder of migration `m` has answered: forwards the
-/// collected state to its destinations, diverting any that died since the
-/// plan was cut to the next live slot (state must land where it can be
-/// drained at shutdown), and tracks the installs. Returns the view to
-/// resume with at once when there is nothing to install.
-fn forward_collected(
-    m: &mut ActiveMigration,
-    n_tasks: usize,
-    dead: &FxHashSet<usize>,
-    injector: &FaultInjector,
-    worker_txs: &[Sender<Message>],
-    rec: &mut ThreadRecorder,
-) -> Option<RoutingView> {
-    let mut by_dest: FxHashMap<TaskId, Vec<(Key, Bytes)>> = FxHashMap::default();
-    for (k, to, blob) in m.collected.drain(..) {
-        let d = divert(to, n_tasks, |x| dead.contains(&x));
-        by_dest.entry(d).or_default().push((k, blob));
-    }
-    if by_dest.is_empty() {
-        return Some(m.plan.view.clone());
-    }
-    rec.span_phase(m.epoch, Phase::Install);
-    send_installs(
-        by_dest,
-        m.epoch,
-        &mut m.awaiting_install,
-        &mut m.sent_installs,
-        injector,
-        worker_txs,
-    );
-    None
-}
-
 /// Shared ingredients for spawning worker threads (initially and on
 /// scale-out).
 struct WorkerSpawner {
@@ -764,29 +354,22 @@ struct WorkerSpawner {
 }
 
 impl WorkerSpawner {
-    fn spawn<'scope>(
-        &self,
-        s: &'scope std::thread::Scope<'scope, '_>,
-        id: usize,
-        rx: Receiver<Message>,
-        op: Box<dyn Operator>,
-        start_interval: u64,
-    ) {
+    fn spawn<'scope>(&self, s: &'scope std::thread::Scope<'scope, '_>, w: Spawn) {
         let ctx = WorkerCtx {
-            id: TaskId::from(id),
-            rx,
+            id: TaskId::from(w.slot),
+            rx: w.rx,
             events: self.event_tx.clone(),
             collector: self.col_tx.clone(),
-            op,
+            op: w.op,
             spin_work: self.spin_work,
             window: self.window,
             processed_counter: Arc::clone(&self.counter),
             epoch: self.epoch,
-            start_interval,
+            start_interval: w.start_interval,
             pool: self.pool_tx.clone(),
             emit_batch: self.emit_batch,
             injector: Arc::clone(&self.injector),
-            recorder: self.sink.recorder(ThreadLabel::Worker(id as u32)),
+            recorder: self.sink.recorder(ThreadLabel::Worker(w.slot as u32)),
         };
         s.spawn(move || run_worker(ctx));
     }
@@ -805,10 +388,17 @@ impl Engine {
     ///   returns that interval's tuples, or `None` to finish.
     /// * `collector` — optional downstream stage receiving operator
     ///   emissions (PKG merger, Q5 aggregation).
+    ///
+    /// This is the event loop around the thread-free controller state
+    /// machine (`controller.rs`): it opens the channels, starts
+    /// the source, the merge stage and every worker the controller
+    /// provisions, hands the controller each source and worker event as
+    /// it arrives plus a `tick` on every wake-up (at least every 10 ms),
+    /// and tears the topology down once all workers drained.
     pub fn run<F, OF>(
         config: EngineConfig,
-        mut partitioner: Box<dyn Partitioner>,
-        mut op_factory: OF,
+        partitioner: Box<dyn Partitioner>,
+        op_factory: OF,
         feeder: F,
         collector: Option<Box<dyn Collector>>,
     ) -> EngineReport
@@ -817,7 +407,6 @@ impl Engine {
         OF: FnMut(TaskId) -> Box<dyn Operator>,
     {
         let t0 = Instant::now();
-        let max_workers = config.max_workers.max(config.n_workers);
         assert!(config.n_workers >= 1, "need at least one worker");
         assert_eq!(
             partitioner.n_tasks(),
@@ -825,78 +414,47 @@ impl Engine {
             "partitioner and engine must agree on initial parallelism"
         );
 
-        // Channels. Capacities are tuple-denominated: batch sends are
-        // weighted by their tuple count, so the in-flight bound — the
-        // backpushing effect — is exactly what the config documents at
-        // any batch size and any fan-out fill.
-        let mut worker_txs: Vec<Sender<Message>> = Vec::with_capacity(max_workers);
-        let mut worker_rxs: Vec<Option<Receiver<Message>>> = Vec::with_capacity(max_workers);
-        for _ in 0..max_workers {
-            let (tx, rx) = bounded(config.channel_capacity);
-            worker_txs.push(tx);
-            worker_rxs.push(Some(rx));
-        }
+        // Channels. Worker channels belong to the controller, which
+        // opens a fresh one whenever it provisions a slot. Capacities are
+        // tuple-denominated: batch sends are weighted by their tuple
+        // count, so the in-flight bound — the backpushing effect — is
+        // exactly what the config documents at any batch size.
         let (event_tx, event_rx) = unbounded::<WorkerEvent>();
         let (ctl_tx, ctl_rx) = unbounded::<SourceCtl>();
         let (src_evt_tx, src_evt_rx) = unbounded::<SourceEvent>();
         let (col_tx, col_rx) = bounded::<Vec<Tuple>>(config.collector_capacity);
         // Batch-buffer free list: workers (and the collector) return
-        // drained `Vec<Tuple>`s here — in groups, amortizing the channel
-        // lock — and the source reuses them, so the steady-state data
-        // plane allocates nothing per batch.
+        // drained `Vec<Tuple>`s here in groups, and the source reuses
+        // them, so the steady-state data plane allocates nothing per
+        // batch.
         let (pool_tx, pool_rx) = unbounded::<Vec<Vec<Tuple>>>();
-
         let counter = Arc::new(Counter::new());
-        let has_collector = collector.is_some();
-
-        let name = partitioner.name();
         let initial_view = partitioner.routing_view();
 
-        let mut report = EngineReport {
-            name,
-            processed: 0,
-            wall: Duration::ZERO,
-            mean_throughput: 0.0,
-            interval_throughput: TimeSeries::labelled("interval throughput"),
-            latency_us: Histogram::new(),
-            rebalances: 0,
-            migrated_keys: 0,
-            migrated_bytes: 0,
-            per_worker_processed: vec![0; max_workers],
-            final_states: Vec::new(),
-            collector_result: Vec::new(),
-            scale_events: Vec::new(),
-            split_events: Vec::new(),
-            worker_seconds: 0.0,
-            first_tuple_interval: vec![None; max_workers],
-            protocol_errors: Vec::new(),
-            faults: Vec::new(),
-            lost_tuples: Vec::new(),
-            trace: TraceLog::default(),
-        };
-
         // One flight-recorder sink per run; every thread gets its own
-        // lock-free ThreadRecorder view of it.
+        // lock-free ThreadRecorder view of it. One fault injector per
+        // run, shared by the controller, the source and every worker:
+        // drop ordinals are global (each kind is sent from one thread).
         let sink = TraceSink::new(config.trace);
-        // One injector per run, shared with the source loop and every
-        // worker. Drop ordinals are global (each kind is sent from one
-        // thread), so all sites must share this instance. The sink lets
-        // it mirror each ledger entry into the trace as it is recorded.
-        let injector = Arc::new(FaultInjector::with_trace(
-            config.fault_plan.clone(),
-            Arc::clone(&sink),
-        ));
+        let mut ctl = Controller::new(
+            &config,
+            partitioner,
+            op_factory,
+            ctl_tx.clone(),
+            &sink,
+            Arc::clone(&counter),
+            t0,
+        );
+        let injector = Arc::clone(ctl.injector());
 
-        std::thread::scope(|s| {
-            // --- source ---------------------------------------------------
-            // Started first, with its plane built here, so its first feed
-            // waits neither for worker start-up nor for the allocator (a
-            // fresh thread's first large allocation can stall while a
-            // reused arena's freed chunks are consolidated). Batches it
-            // ships meanwhile queue in the already-open worker channels.
+        let mut report = std::thread::scope(|s| {
+            // The source starts first, with its plane built here, so its
+            // first feed waits neither for worker start-up nor for the
+            // allocator. Batches it ships meanwhile queue in the
+            // already-open worker channels.
             let plane = SourcePlane::new(
                 initial_view,
-                worker_txs.clone(),
+                ctl.worker_txs().to_vec(),
                 src_evt_tx,
                 pool_rx,
                 config.batch_size,
@@ -905,10 +463,9 @@ impl Engine {
             let src_rec = sink.recorder(ThreadLabel::Source);
             let src_handle = s.spawn(move || source_loop(feeder, plane, ctl_rx, t0, src_rec));
 
-            // --- workers -------------------------------------------------
             let spawner = WorkerSpawner {
                 event_tx: event_tx.clone(),
-                col_tx: has_collector.then(|| col_tx.clone()),
+                col_tx: collector.is_some().then(|| col_tx.clone()),
                 pool_tx: pool_tx.clone(),
                 spin_work: config.spin_work,
                 window: config.window as u64,
@@ -918,15 +475,11 @@ impl Engine {
                 injector: Arc::clone(&injector),
                 sink: Arc::clone(&sink),
             };
-            for (d, slot) in worker_rxs.iter_mut().enumerate().take(config.n_workers) {
-                // lint: allow(panic, reason = "startup invariant: every slot was
-                // filled Some(rx) in the channel-construction loop above and
-                // nothing has taken from them yet")
-                let rx = slot.take().expect("slot free");
-                spawner.spawn(s, d, rx, op_factory(TaskId::from(d)), 0);
+            for w in ctl.take_spawns() {
+                spawner.spawn(s, w);
             }
 
-            // --- merge stage (the downstream operator) --------------------
+            // The merge stage (the downstream operator).
             let col_handle = collector.map(|c| {
                 let stage = crate::merge::MergeStage::new(
                     c,
@@ -937,1343 +490,49 @@ impl Engine {
                 s.spawn(move || stage.run())
             });
 
-            // --- controller (this thread) ----------------------------------
-            let mut policy = config.elasticity.clone();
-            let mut split_policy = config.split.clone();
-            let mut active = config.n_workers;
-            let mut pending: Option<ActiveOp> = None;
-            let mut queue: VecDeque<PlannedOp> = VecDeque::new();
-            let mut next_epoch = 0u64;
-            // The statistics-round ledger (see `controller.rs`): open
-            // rounds, retired-victim residue, and graceful handling of
-            // late or duplicate reports. The expected count is pinned at
-            // issue time — scale-out must not retroactively change how
-            // many workers a round waits for, and a victim whose Retire
-            // marker is already enqueued is excluded because it will
-            // never answer.
-            let mut ledger = StatsLedger::new();
-            // Outstanding source resumes, keyed by epoch: the view to
-            // re-drive each with and its deadline clock. Resumes retry
-            // forever (never abort — an abandoned resume would leave
-            // pause-buffered tuples unflushed, which is unaccounted
-            // loss); a duplicate ack is absorbed by the missing key.
-            let mut resume_state: FxHashMap<u64, ResumeClock> = FxHashMap::default();
-            // Set between sending a `Retire` marker and its `Retired` ack.
-            let mut retiring: Option<TaskId> = None;
-            let mut source_finished = false;
-            let mut draining = false;
-            let mut drained = 0usize;
-            // Shutdown markers actually delivered (dead slots and failed
-            // sends are excluded — they will never answer `Drained`).
-            let mut drain_target = 0usize;
-            let mut last_interval_mark = (Instant::now(), 0u64);
-            // Worker-seconds integral, advanced at every change of the
-            // *live* count (and closed once at shutdown).
-            let mut ws = WorkerSeconds::new(t0, config.n_workers);
-            // --- fault-recovery state ------------------------------------
-            // Dead worker slots (indices < active). `active` never
-            // shrinks on a death: the routing function still counts the
-            // slot, the source diverts its traffic to survivors, and a
-            // later scale-out decision re-provisions it (SlotRevived).
-            let mut dead: FxHashSet<usize> = FxHashSet::default();
-            // A dead worker's receiver, held until the source
-            // acknowledges the re-route; then drained (every in-flight
-            // tuple counted lost) and dropped, so later sends fail fast.
-            let mut dead_pending: FxHashMap<usize, Receiver<Message>> = FxHashMap::default();
-            // Per-key tuples irrecoverably lost to deaths.
-            let mut lost: FxHashMap<Key, u64> = FxHashMap::default();
-            // The deterministic half of every deadline: the latest
-            // source interval observed.
-            let mut current_interval = 0u64;
-            // Deadline clock for the one in-flight op; re-armed on every
-            // phase progress.
-            let mut op_clock: Option<OpClock> = None;
-            // Epochs that finished, aborted, or were synthesized for
-            // rollback installs: late echoes (a retried op's duplicate
-            // ack, a zombie victim's `Retired`) are absorbed as stale
-            // instead of counted as protocol errors.
-            let mut closed_epochs: FxHashMap<u64, &'static str> = FxHashMap::default();
-            // Lazily-built operator used only to size state blobs drained
-            // from a dead worker's channel (loss accounting).
-            let mut scratch_op: Option<Box<dyn Operator>> = None;
-            // Completed stats rounds awaiting the decision block — filled
-            // by reports, dead-worker strikes, and deadline expiry alike,
-            // so every round is decided by exactly one code path.
-            let mut closed_rounds: Vec<(u64, ClosedRound)> = Vec::new();
-            // The controller's flight recorder: protocol spans (id = op
-            // epoch) and per-interval telemetry snapshots.
-            let mut rec = sink.recorder(ThreadLabel::Controller);
-            // Epochs whose span is open: a span closes `Completed` at its
-            // ResumeAck, `Aborted` at abort_op, `Abandoned` at teardown —
-            // exactly once, whichever comes first.
-            let mut open_spans: FxHashSet<u64> = FxHashSet::default();
-
+            // The controller, on this thread. The bounded wait lets the
+            // bottom half (deadlines, round expiry, the shutdown gate)
+            // run even when no event arrives.
             let mut select = Select::new();
             let src_idx = select.recv(&src_evt_rx);
             let _evt_idx = select.recv(&event_rx);
-
-            'ctl: loop {
-                // The op this wake-up's event completed, with the view to
-                // resume under; resumed and closed right after the event.
-                let mut finished: Option<(u64, RoutingView)> = None;
-                // Bounded wait: the bottom half of the loop (deadline
-                // retries/aborts, stats-round expiry, the shutdown gate)
-                // must run even when no event arrives.
-                if let Ok(op_ready) = select.select_timeout(Duration::from_millis(10)) {
-                    match op_ready.index() {
-                        i if i == src_idx => {
-                            let Ok(ev) = op_ready.recv(&src_evt_rx) else {
-                                continue;
-                            };
-                            match ev {
-                                SourceEvent::IntervalDone { interval } => {
-                                    current_interval = interval;
-                                    // Interval throughput point.
-                                    let now = Instant::now();
-                                    let count = counter.get();
-                                    let dt = now
-                                        .duration_since(last_interval_mark.0)
-                                        .as_secs_f64()
-                                        .max(1e-9);
-                                    report.interval_throughput.push(
-                                        interval as f64,
-                                        (count - last_interval_mark.1) as f64 / dt,
-                                    );
-                                    last_interval_mark = (now, count);
-                                    // Queue depths sampled at interval close
-                                    // (tuple-weighted channel occupancy, the
-                                    // backpressure signal), *before* the stats
-                                    // markers join the queues they measure.
-                                    let queues: Vec<u64> = worker_txs
-                                        .iter()
-                                        .take(active)
-                                        .map(|tx| tx.queued_weight() as u64)
-                                        .collect();
-                                    // In-band stats round, skipping a retiring
-                                    // victim (its Retire marker is already in
-                                    // the channel ahead of this request) and
-                                    // dead slots. A request dropped by the
-                                    // injector stays *expected* — the
-                                    // controller cannot know it was lost in
-                                    // flight; the round deadline closes it.
-                                    let mut expected: Vec<TaskId> = Vec::new();
-                                    for (i, tx) in worker_txs.iter().enumerate().take(active) {
-                                        if retiring == Some(TaskId::from(i)) || dead.contains(&i) {
-                                            continue;
-                                        }
-                                        if !injector.is_passive()
-                                            && injector.should_drop(CtlKind::StatsRequest)
-                                        {
-                                            expected.push(TaskId::from(i));
-                                            continue;
-                                        }
-                                        if !ctl_send(
-                                            &injector,
-                                            tx,
-                                            i,
-                                            Message::StatsRequest { interval },
-                                        ) {
-                                            continue;
-                                        }
-                                        expected.push(TaskId::from(i));
-                                    }
-                                    if !expected.is_empty() {
-                                        ledger.open(interval, active, expected, queues);
-                                    }
-                                }
-                                SourceEvent::PauseAck { epoch } => {
-                                    finished = match pending.as_mut() {
-                                        None => {
-                                            // A pause ack with nothing in
-                                            // flight: a late echo of a closed
-                                            // epoch (absorbed), or genuine
-                                            // protocol desync (recorded).
-                                            if closed_epochs.contains_key(&epoch) {
-                                                absorb_stale(&injector, epoch, "pause ack");
-                                            } else {
-                                                report
-                                                    .protocol_errors
-                                                    .push(ProtocolError::StrayPauseAck { epoch });
-                                            }
-                                            None
-                                        }
-                                        Some(ActiveOp::Migration(m)) if m.epoch == epoch => {
-                                            if m.pause_acked {
-                                                // Duplicate (the pause was
-                                                // retried but the original ack
-                                                // was merely slow, not lost).
-                                                absorb_stale(&injector, epoch, "pause ack");
-                                                None
-                                            } else {
-                                                m.pause_acked = true;
-                                                op_clock = Some(OpClock::start(current_interval));
-                                                // The source is quiesced; the
-                                                // span now waits on holders to
-                                                // drain and extract.
-                                                rec.span_phase(epoch, Phase::QuiesceWait);
-                                                for (&w, moves) in &m.plan.by_source {
-                                                    // A holder that died after
-                                                    // planning has nothing left
-                                                    // to extract (its loss is
-                                                    // already accounted).
-                                                    if dead.contains(&w.index()) {
-                                                        continue;
-                                                    }
-                                                    m.awaiting_out.insert(w);
-                                                    // Dropped markers stay
-                                                    // awaited: the op deadline
-                                                    // re-drives them.
-                                                    send_ctl_marker(
-                                                        &injector,
-                                                        &worker_txs,
-                                                        w.index(),
-                                                        CtlKind::MigrateOut,
-                                                        Message::MigrateOut {
-                                                            epoch,
-                                                            moves: moves.clone(),
-                                                        },
-                                                    );
-                                                }
-                                                // Degenerate plan: resume immediately.
-                                                m.awaiting_out
-                                                    .is_empty()
-                                                    .then(|| m.plan.view.clone())
-                                            }
-                                        }
-                                        Some(ActiveOp::Retire(r)) if r.epoch == epoch => {
-                                            if r.pause_acked {
-                                                absorb_stale(&injector, epoch, "pause ack");
-                                            } else {
-                                                r.pause_acked = true;
-                                                op_clock = Some(OpClock::start(current_interval));
-                                                rec.span_phase(epoch, Phase::QuiesceWait);
-                                                // Every tuple the source will ever
-                                                // send the victim is now in its
-                                                // channel; the Retire marker lands
-                                                // behind all of them. A dropped
-                                                // marker is re-driven by the op
-                                                // deadline.
-                                                send_ctl_marker(
-                                                    &injector,
-                                                    &worker_txs,
-                                                    r.victim.index(),
-                                                    CtlKind::Retire,
-                                                    Message::Retire { epoch },
-                                                );
-                                                r.retire_sent = true;
-                                                retiring = Some(r.victim);
-                                            }
-                                            None
-                                        }
-                                        Some(_) => {
-                                            absorb_stale(&injector, epoch, "pause ack");
-                                            None
-                                        }
-                                    }
-                                    .map(|view| (epoch, view));
-                                }
-                                SourceEvent::ResumeAck { epoch } => {
-                                    if resume_state.remove(&epoch).is_none() {
-                                        absorb_stale(&injector, epoch, "resume ack");
-                                    } else if open_spans.remove(&epoch) {
-                                        // The op's span runs to the ack: its
-                                        // disruption window covers the whole
-                                        // pause → ... → resume round trip.
-                                        // (Aborted spans closed at abort_op;
-                                        // their rollback resume's ack lands
-                                        // here with the span already gone.)
-                                        rec.span_close(epoch, Outcome::Completed);
-                                    }
-                                }
-                                SourceEvent::DeadDestAck { dest } => {
-                                    // The source has stopped routing to the
-                                    // dead slot; drain its channel (counting
-                                    // every in-flight tuple and state blob as
-                                    // lost) and drop the receiver so any
-                                    // later send fails fast instead of
-                                    // queueing into a void.
-                                    if let Some(rx) = dead_pending.remove(&dest.index()) {
-                                        let sop =
-                                            scratch_op.get_or_insert_with(|| op_factory(dest));
-                                        let n = drain_dead_channel(&rx, sop.as_mut(), &mut lost);
-                                        injector.add_lost(n);
-                                    }
-                                }
-                                SourceEvent::SendFailed { dest } => {
-                                    // The source hit a disconnected channel
-                                    // before (or after) the controller's
-                                    // DeadDest reached it; the tuples were
-                                    // re-shipped to a survivor, so this is an
-                                    // observation, not a loss.
-                                    injector.record(FaultEvent::SendFailed {
-                                        to: SendPeer::Worker(dest.index()),
-                                    });
-                                }
-                                SourceEvent::Finished => {
-                                    source_finished = true;
-                                }
-                            }
+            while !ctl.done() {
+                if let Ok(ready) = select.select_timeout(Duration::from_millis(10)) {
+                    if ready.index() == src_idx {
+                        if let Ok(ev) = ready.recv(&src_evt_rx) {
+                            ctl.on_source(ev);
                         }
-                        _ => {
-                            let Ok(ev) = op_ready.recv(&event_rx) else {
-                                continue;
-                            };
-                            match ev {
-                                WorkerEvent::Stats {
-                                    worker,
-                                    interval,
-                                    stats,
-                                    latency,
-                                } => {
-                                    // The ledger absorbs late and duplicate
-                                    // reports (a retiring worker can answer a
-                                    // round the controller already closed)
-                                    // instead of crashing; a report only
-                                    // completes a round when every distinct
-                                    // expected worker has answered. Completed
-                                    // rounds queue for the decision pass at
-                                    // the bottom of the loop — the same path
-                                    // that decides rounds closed by a death
-                                    // or by deadline expiry.
-                                    if let Some(round) =
-                                        ledger.on_stats(worker, interval, stats, &latency)
-                                    {
-                                        closed_rounds.push((interval, round));
-                                    }
-                                }
-                                WorkerEvent::StateOut {
-                                    worker,
-                                    epoch,
-                                    states,
-                                } => 'state_out: {
-                                    let m = match pending.as_mut() {
-                                        Some(ActiveOp::Migration(m)) if m.epoch == epoch => m,
-                                        _ => {
-                                            // A late answer on a closed epoch is
-                                            // absorbed — but not dropped. An
-                                            // aborted migration's victim can wake
-                                            // after the rollback, process the
-                                            // queued MigrateOut, and ship real
-                                            // state here; the blobs have left
-                                            // their owner, so they are re-homed
-                                            // under the *current* (rolled-back)
-                                            // view on a fresh pre-closed epoch.
-                                            // A retried MigrateOut's empty
-                                            // double-answer re-homes nothing.
-                                            // Anything else is genuine
-                                            // bookkeeping divergence, worth
-                                            // shouting about.
-                                            if closed_epochs.contains_key(&epoch) {
-                                                absorb_stale(&injector, epoch, "state out");
-                                                rehome_stale(
-                                                    states.into_iter().map(|(k, _to, b)| (k, b)),
-                                                    partitioner.as_ref(),
-                                                    &dead,
-                                                    &mut next_epoch,
-                                                    &mut closed_epochs,
-                                                    &injector,
-                                                    &worker_txs,
-                                                );
-                                            } else {
-                                                report.protocol_errors.push(
-                                                    ProtocolError::StrayStateOut {
-                                                        worker: worker.index(),
-                                                        epoch,
-                                                        dropped_keys: states.len(),
-                                                    },
-                                                );
-                                            }
-                                            break 'state_out;
-                                        }
-                                    };
-                                    if !m.awaiting_out.remove(&worker) {
-                                        // Duplicate answer to a re-driven
-                                        // MigrateOut: the first extraction
-                                        // emptied the keys, so this one
-                                        // carries nothing to keep.
-                                        absorb_stale(&injector, epoch, "state out");
-                                        break 'state_out;
-                                    }
-                                    op_clock = Some(OpClock::start(current_interval));
-                                    if !m.state_out_marked {
-                                        m.state_out_marked = true;
-                                        rec.span_phase(epoch, Phase::StateOut);
-                                    }
-                                    if m.plan.preplaced {
-                                        // Pre-placement bills the bytes actually
-                                        // extracted: the plan moves windowed
-                                        // state no single interval's statistics
-                                        // can size (rebalances bill their plan's
-                                        // windowed-mem estimate up front).
-                                        report.migrated_bytes += states
-                                            .iter()
-                                            .map(|(_, _, b)| b.len() as u64)
-                                            .sum::<u64>();
-                                    }
-                                    m.collected.extend(states);
-                                    if !m.awaiting_out.is_empty() {
-                                        break 'state_out;
-                                    }
-                                    finished = forward_collected(
-                                        m,
-                                        partitioner.n_tasks(),
-                                        &dead,
-                                        &injector,
-                                        &worker_txs,
-                                        &mut rec,
-                                    )
-                                    .map(|view| (epoch, view));
-                                }
-                                WorkerEvent::InstallAck { worker, epoch } => {
-                                    finished = match pending.as_mut() {
-                                        Some(ActiveOp::Migration(m)) if m.epoch == epoch => {
-                                            if m.awaiting_install.remove(&worker) {
-                                                op_clock = Some(OpClock::start(current_interval));
-                                                // Step 7: resume with F′.
-                                                m.awaiting_install
-                                                    .is_empty()
-                                                    .then(|| m.plan.view.clone())
-                                            } else {
-                                                // Duplicate ack of a re-driven
-                                                // install (the worker dedupes
-                                                // the install, then re-acks).
-                                                absorb_stale(&injector, epoch, "install ack");
-                                                None
-                                            }
-                                        }
-                                        Some(ActiveOp::Retire(r)) if r.epoch == epoch => {
-                                            if r.awaiting_install.remove(&worker) {
-                                                op_clock = Some(OpClock::start(current_interval));
-                                                // Re-provision complete: resume
-                                                // under the shrunk view.
-                                                r.awaiting_install
-                                                    .is_empty()
-                                                    .then(|| r.view.clone())
-                                            } else {
-                                                absorb_stale(&injector, epoch, "install ack");
-                                                None
-                                            }
-                                        }
-                                        _ => {
-                                            // Installs are only sent by a pending
-                                            // op (or fire-and-forget under a
-                                            // pre-closed rollback epoch, absorbed
-                                            // here) — a stray ack for an unknown
-                                            // epoch is bookkeeping divergence,
-                                            // not a reason to kill the pipeline.
-                                            if closed_epochs.contains_key(&epoch) {
-                                                absorb_stale(&injector, epoch, "install ack");
-                                            } else {
-                                                report.protocol_errors.push(
-                                                    ProtocolError::StrayInstallAck {
-                                                        worker: worker.index(),
-                                                        epoch,
-                                                    },
-                                                );
-                                            }
-                                            None
-                                        }
-                                    }
-                                    .map(|view| (epoch, view));
-                                }
-                                WorkerEvent::Retired {
-                                    worker,
-                                    epoch,
-                                    states,
-                                    stats,
-                                    processed,
-                                    latency,
-                                    first_interval,
-                                    rx,
-                                } => 'retired: {
-                                    // Keep the books whoever retired: merge its
-                                    // totals; fold its unreported residue into
-                                    // the oldest open round (issued while it
-                                    // was alive, so its slot exists) — dropping
-                                    // it would read as a load dip and
-                                    // re-trigger the scale-in policy; and give
-                                    // the slot's channel back (our sender
-                                    // clones live on, so a later scale-out can
-                                    // respawn here and no message can ever be
-                                    // silently dropped).
-                                    report.absorb_worker(
-                                        worker.index(),
-                                        processed,
-                                        &latency,
-                                        first_interval,
-                                    );
-                                    ledger.on_residue(worker, &stats);
-                                    worker_rxs[worker.index()] = Some(rx);
-                                    if retiring == Some(worker) {
-                                        retiring = None;
-                                    }
-                                    let is_ours = matches!(
-                                        pending.as_ref(),
-                                        Some(ActiveOp::Retire(r)) if r.epoch == epoch
-                                    );
-                                    if !is_ours {
-                                        // A zombie victim: its scale-in was
-                                        // aborted (deadline) but the Retire
-                                        // marker had already landed, so the
-                                        // drain completed anyway — or genuine
-                                        // divergence.
-                                        if !closed_epochs.contains_key(&epoch) {
-                                            report.protocol_errors.push(
-                                                ProtocolError::StrayRetired {
-                                                    worker: worker.index(),
-                                                    epoch,
-                                                },
-                                            );
-                                            break 'retired;
-                                        }
-                                        absorb_stale(&injector, epoch, "retired");
-                                        if worker.index() == active - 1 {
-                                            ws.set_active(Instant::now(), active - 1 - dead.len());
-                                            active -= 1;
-                                        }
-                                        rehome_stale(
-                                            states,
-                                            partitioner.as_ref(),
-                                            &dead,
-                                            &mut next_epoch,
-                                            &mut closed_epochs,
-                                            &injector,
-                                            &worker_txs,
-                                        );
-                                        break 'retired;
-                                    }
-                                    // lint: allow(panic, reason = "is_ours above
-                                    // matched pending as Some(Retire) with this
-                                    // epoch, and nothing between takes it")
-                                    let Some(ActiveOp::Retire(mut r)) = pending.take() else {
-                                        unreachable!("checked above");
-                                    };
-                                    debug_assert_eq!(r.victim, worker);
-                                    op_clock = Some(OpClock::start(current_interval));
-                                    // The victim's drained state is in hand —
-                                    // the scale-in's state-out phase.
-                                    rec.span_phase(epoch, Phase::StateOut);
-                                    ws.set_active(Instant::now(), active - 1 - dead.len());
-                                    active -= 1;
-                                    debug_assert_eq!(worker.index(), active);
-                                    // Re-home the drained state under the op's
-                                    // captured view — the placement every later
-                                    // op's delta is computed against — diverting
-                                    // destinations that died since the view was
-                                    // cut.
-                                    let by_dest = group_by_home(
-                                        states,
-                                        r.view.clone(),
-                                        partitioner.n_tasks(),
-                                        &dead,
-                                    );
-                                    if by_dest.is_empty() {
-                                        finished = Some((epoch, r.view));
-                                    } else {
-                                        rec.span_phase(epoch, Phase::Install);
-                                        debug_assert!(by_dest.keys().all(|d| d.index() < active));
-                                        send_installs(
-                                            by_dest,
-                                            epoch,
-                                            &mut r.awaiting_install,
-                                            &mut r.sent_installs,
-                                            &injector,
-                                            &worker_txs,
-                                        );
-                                        pending = Some(ActiveOp::Retire(r));
-                                    }
-                                }
-                                WorkerEvent::Killed {
-                                    worker,
-                                    lost: worker_lost,
-                                    stats,
-                                    processed,
-                                    latency,
-                                    first_interval,
-                                    rx,
-                                } => {
-                                    let w = worker.index();
-                                    injector.record(FaultEvent::WorkerDead { worker: w });
-                                    // Keep the books: what the worker *did*
-                                    // process counts; what it held is lost and
-                                    // accounted per key.
-                                    report.absorb_worker(w, processed, &latency, first_interval);
-                                    ledger.on_residue(worker, &stats);
-                                    for closed in ledger.on_worker_dead(worker) {
-                                        closed_rounds.push(closed);
-                                    }
-                                    let mut n_lost = 0u64;
-                                    for (k, n) in worker_lost {
-                                        n_lost += n;
-                                        *lost.entry(k).or_insert(0) += n;
-                                    }
-                                    injector.add_lost(n_lost);
-                                    injector.record(FaultEvent::StateLost { worker: w });
-                                    dead.insert(w);
-                                    ws.set_active(Instant::now(), active - dead.len());
-                                    // Pin the dead slot's keys onto survivors
-                                    // (via each key's hash home, cycled past
-                                    // dead slots) and tell the source; its ack
-                                    // returns when the re-route is live, at
-                                    // which point the channel backlog is
-                                    // drained and accounted (DeadDestAck).
-                                    let moves =
-                                        partitioner.reroute_dead(worker, &|x| dead.contains(&x));
-                                    injector.record(FaultEvent::Rerouted {
-                                        from_worker: w,
-                                        moved_keys: moves.len(),
-                                    });
-                                    send_src(
-                                        &injector,
-                                        &ctl_tx,
-                                        None,
-                                        SourceCtl::DeadDest {
-                                            dest: worker,
-                                            moves,
-                                        },
-                                    );
-                                    dead_pending.insert(w, rx);
-                                    // Untangle the in-flight op from the
-                                    // corpse: a pending phase waiting on the
-                                    // dead worker must not wait for the
-                                    // deadline to notice.
-                                    match pending.as_mut() {
-                                        Some(ActiveOp::Migration(m)) => {
-                                            let epoch = m.epoch;
-                                            if m.awaiting_out.remove(&worker)
-                                                && m.awaiting_out.is_empty()
-                                            {
-                                                // The remaining extractions are
-                                                // all in: forward exactly as a
-                                                // final StateOut would have.
-                                                finished = forward_collected(
-                                                    m,
-                                                    partitioner.n_tasks(),
-                                                    &dead,
-                                                    &injector,
-                                                    &worker_txs,
-                                                    &mut rec,
-                                                )
-                                                .map(|view| (epoch, view));
-                                            } else if m.awaiting_install.remove(&worker)
-                                                && m.awaiting_install.is_empty()
-                                            {
-                                                finished = Some((epoch, m.plan.view.clone()));
-                                            }
-                                        }
-                                        Some(ActiveOp::Retire(r)) => {
-                                            // The victim died mid-retire (its
-                                            // state died with it, accounted
-                                            // above), or the last awaited
-                                            // re-home dest did (the blob in its
-                                            // channel is counted by the
-                                            // DeadDestAck drain): resume under
-                                            // the shrunk view and close the op.
-                                            if r.victim == worker
-                                                || (r.awaiting_install.remove(&worker)
-                                                    && r.awaiting_install.is_empty())
-                                            {
-                                                finished = Some((r.epoch, r.view.clone()));
-                                            }
-                                            if retiring == Some(worker) {
-                                                retiring = None;
-                                            }
-                                        }
-                                        None => {}
-                                    }
-                                    // A death during the drain means one
-                                    // Shutdown marker will never be answered.
-                                    if draining {
-                                        drain_target = drain_target.saturating_sub(1);
-                                        if drained >= drain_target {
-                                            break 'ctl;
-                                        }
-                                    }
-                                }
-                                WorkerEvent::Drained {
-                                    worker,
-                                    final_states,
-                                    processed,
-                                    latency,
-                                    first_interval,
-                                } => {
-                                    report.absorb_worker(
-                                        worker.index(),
-                                        processed,
-                                        &latency,
-                                        first_interval,
-                                    );
-                                    report.final_states.extend(final_states);
-                                    drained += 1;
-                                    if draining && drained >= drain_target {
-                                        break 'ctl;
-                                    }
-                                }
-                            }
-                        }
+                    } else if let Ok(ev) = ready.recv(&event_rx) {
+                        ctl.on_worker(ev);
+                    }
+                    if ctl.done() {
+                        break;
                     }
                 }
-
-                if let Some((epoch, view)) = finished {
-                    issue_resume(
-                        &injector,
-                        &ctl_tx,
-                        &mut resume_state,
-                        &mut rec,
-                        &open_spans,
-                        epoch,
-                        view,
-                        current_interval,
-                    );
-                    closed_epochs.insert(epoch, "done");
-                    pending = None;
-                    op_clock = None;
-                }
-
-                // ---- bottom half: runs every wake-up, timeouts included ----
-
-                // Keep dead channels drained while the source may still
-                // be routing at them (its DeadDest is in flight): a
-                // bounded channel left full would backpressure the source
-                // against a corpse and stall the data plane. Everything
-                // drained is accounted as lost, exactly as the final
-                // DeadDestAck drain does.
-                for (&w, rx) in &dead_pending {
-                    let sop = scratch_op.get_or_insert_with(|| op_factory(TaskId::from(w)));
-                    let n = drain_dead_channel(rx, sop.as_mut(), &mut lost);
-                    injector.add_lost(n);
-                }
-
-                // Stats rounds whose reporters went silent close by
-                // deadline, so a wedged worker cannot hold decisions — or
-                // shutdown, which waits on open rounds — hostage.
-                for (interval, round, missing) in ledger.expire_rounds(
-                    current_interval,
-                    config.round_deadline_intervals,
-                    config.round_deadline,
-                ) {
-                    injector.record(FaultEvent::RoundTimedOut { interval, missing });
-                    closed_rounds.push((interval, round));
-                }
-
-                // Decide every round closed this tick — whether a full
-                // report set, a dead-worker strike, or deadline expiry
-                // closed it, the same code decides.
-                for (interval, round) in std::mem::take(&mut closed_rounds) {
-                    // Telemetry snapshot: exactly what the elasticity
-                    // policy and partitioner are about to see.
-                    rec.snapshot(
-                        interval,
-                        round.loads.clone(),
-                        round.queues.clone(),
-                        round.mean_latency_us,
-                        round.p99_latency_us,
-                    );
-                    let merged = round.merged;
-                    // The shared decision stage: scale, split, rebalance,
-                    // each step mutating the partitioner. The physical half
-                    // of each action runs right after its step, so every
-                    // queued op captures the routing view its own step
-                    // left, before the next step changes it.
-                    let mut decider = RoundDecider {
-                        interval,
-                        loads: &round.loads,
-                        queue_depths: &round.queues,
-                        mean_latency_us: round.mean_latency_us,
-                        p99_latency_us: round.p99_latency_us,
-                        dead: dead.iter().copied().collect(),
-                    };
-                    let planned = partitioner.n_tasks();
-                    let limits = ScaleLimits {
-                        max_tasks: max_workers,
-                        // Physical width above the planned one: a retire
-                        // is queued, in flight, or its aborted victim is
-                        // still draining.
-                        scale_in_flight: active > planned,
-                        tail_free: worker_rxs.get(planned).is_some_and(Option::is_some),
-                        preplace: config.preplace,
-                    };
-                    match decider.scale(policy.as_mut(), partitioner.as_mut(), &merged, limits) {
-                        ScaleAction::Hold => {}
-                        ScaleAction::Revive { slot } => {
-                            // The revived slot starts key-less (the next
-                            // rebalance loads it): only the source's
-                            // divert set shrinks, once it swaps in the
-                            // fresh channel `ReviveDest` carries.
-                            let (tx, rx) = bounded(config.channel_capacity);
-                            worker_txs[slot] = tx.clone();
-                            spawner.spawn(
-                                s,
-                                slot,
-                                rx,
-                                op_factory(TaskId::from(slot)),
-                                interval + 1,
-                            );
-                            send_src(
-                                &injector,
-                                &ctl_tx,
-                                None,
-                                SourceCtl::ReviveDest {
-                                    dest: TaskId::from(slot),
-                                    tx,
-                                },
-                            );
-                            dead.remove(&slot);
-                            ws.set_active(Instant::now(), active - dead.len());
-                            injector.record(FaultEvent::SlotRevived { worker: slot });
-                        }
-                        ScaleAction::Widen { event, moves } => {
-                            let new = TaskId::from(event.from);
-                            debug_assert_eq!(event.from, active);
-                            // lint: allow(panic, reason = "the decider widens only
-                            // when tail_free saw this slot's receiver present")
-                            let rx = worker_rxs[active].take().expect("tail slot free");
-                            ws.set_active(Instant::now(), active + 1 - dead.len());
-                            spawner.spawn(s, active, rx, op_factory(new), interval + 1);
-                            report.scale_events.push(event);
-                            active += 1;
-                            if moves.is_empty() {
-                                // Nothing to pre-place (seed shape, or a
-                                // key-oblivious strategy whose new worker
-                                // takes traffic without any state): publish
-                                // the grown view directly.
-                                send_src(
-                                    &injector,
-                                    &ctl_tx,
-                                    None,
-                                    SourceCtl::UpdateView {
-                                        view: partitioner.routing_view(),
-                                    },
-                                );
-                            } else {
-                                // Pre-placement: the new slot's keys move in
-                                // through the same quiesce → install →
-                                // resume machinery as a rebalance, so it
-                                // takes load this interval.
-                                report.migrated_keys += moves.len() as u64;
-                                let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> =
-                                    FxHashMap::default();
-                                let mut affected = Vec::with_capacity(moves.len());
-                                for (k, holder) in moves {
-                                    affected.push(k);
-                                    by_source.entry(holder).or_default().push((k, new));
-                                }
-                                queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                                    by_source,
-                                    affected,
-                                    view: partitioner.routing_view(),
-                                    preplaced: true,
-                                    label: OpLabel::ScaleOut,
-                                }));
-                            }
-                        }
-                        ScaleAction::WidenAborted { slot } => {
-                            // The slot's receiver was never returned (a
-                            // prior retire mismatch): record it and keep
-                            // running at the current width rather than
-                            // tearing down the topology.
-                            report
-                                .protocol_errors
-                                .push(ProtocolError::ScaleOutAborted { to: slot + 1, slot });
-                        }
-                        ScaleAction::HeldDegraded => {
-                            // Let the ledger say why the policy's wish was
-                            // refused.
-                            injector.record(FaultEvent::ScaleHeld { interval });
-                        }
-                        ScaleAction::Shrink { event } => {
-                            // The routing function already shrank (later
-                            // decisions and rebalances build on it); the
-                            // physical retirement queues behind any
-                            // in-flight op.
-                            report.scale_events.push(event);
-                            queue.push_back(PlannedOp::ScaleIn {
-                                victim: TaskId::from(event.to),
-                                view: partitioner.routing_view(),
-                            });
-                        }
-                    }
-                    match decider.split(split_policy.as_deref_mut(), partitioner.as_mut(), &merged)
-                    {
-                        SplitAction::Hold => {}
-                        SplitAction::Split { event } => {
-                            report.split_events.push(event);
-                            // A split moves no state: the op is a
-                            // degenerate migration whose pause window makes
-                            // the view swap atomic (PauseAck with nothing
-                            // awaited resumes immediately under the split
-                            // view).
-                            queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                                by_source: FxHashMap::default(),
-                                affected: vec![Key(event.key)],
-                                view: partitioner.routing_view(),
-                                preplaced: false,
-                                label: OpLabel::Split,
-                            }));
-                        }
-                        SplitAction::Unsplit {
-                            event,
-                            primary,
-                            movers,
-                        } => {
-                            report.split_events.push(event);
-                            // A real migration: each live non-primary
-                            // replica's partial state moves into the
-                            // primary, whose `install` merges additively.
-                            // Billed like a pre-placement: the moved bytes
-                            // are whatever partials the replicas actually
-                            // hold, which no single interval's stats can
-                            // size.
-                            let k = Key(event.key);
-                            queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                                by_source: movers
-                                    .into_iter()
-                                    .map(|r| (r, vec![(k, primary)]))
-                                    .collect(),
-                                affected: vec![k],
-                                view: partitioner.routing_view(),
-                                preplaced: true,
-                                label: OpLabel::Unsplit,
-                            }));
-                        }
-                    }
-                    // A rebalance that moves keys (an empty plan is a
-                    // planner call, not a rebalance) queues its migration.
-                    let rebalance = decider.rebalance(partitioner.as_mut(), merged);
-                    if let Some(rb) = rebalance.filter(Rebalance::fired) {
-                        let plan = &rb.outcome.plan;
-                        report.rebalances += 1;
-                        report.migrated_keys += plan.keys_moved() as u64;
-                        report.migrated_bytes += plan.cost_bytes();
-                        let mut by_source: FxHashMap<TaskId, Vec<(Key, TaskId)>> =
-                            FxHashMap::default();
-                        for (holder, k, to) in rb.transfers {
-                            by_source.entry(holder).or_default().push((k, to));
-                        }
-                        // When the partitioner applied the rebalance as
-                        // a delta, ship the source the same delta —
-                        // O(churn), and the source's table stays in
-                        // lockstep because both sides mutate equal
-                        // tables identically. Swaps (and every scale op
-                        // above) keep shipping full views: those are
-                        // the resync points. Dead involvement also
-                        // forces a full view — the decider's diversions
-                        // made the controller's table diverge from the
-                        // plan's moves, so the raw delta would desync
-                        // the source.
-                        let view = if rb.dead_involved {
-                            partitioner.routing_view()
-                        } else if partitioner.last_install_was_delta() {
-                            RoutingView::TableDelta {
-                                n_tasks: partitioner.n_tasks(),
-                                moves: plan.moves().iter().map(|m| (m.key, m.to)).collect(),
-                            }
-                        } else {
-                            partitioner.routing_view()
-                        };
-                        queue.push_back(PlannedOp::Migrate(PlannedMigration {
-                            by_source,
-                            affected: plan.moves().iter().map(|m| m.key).collect(),
-                            view,
-                            preplaced: false,
-                            label: OpLabel::Rebalance,
-                        }));
-                    }
-                }
-
-                // In-flight-op deadline. Intervals are the deterministic
-                // clock; the wall bound keeps healthy-but-slow runs from
-                // spurious expiry, and rules alone once the source has
-                // finished and intervals stop. First expiry re-drives
-                // the stuck phase (markers are idempotent: workers and
-                // source absorb duplicates by epoch); the second aborts
-                // with rollback.
-                let mut abort_op = false;
-                if let (Some(op), Some(clock)) = (pending.as_mut(), op_clock.as_mut()) {
-                    let wall_ok = clock.started.elapsed() < config.op_deadline;
-                    let iv_ok =
-                        current_interval < clock.started_interval + config.op_deadline_intervals;
-                    if !wall_ok && (!iv_ok || source_finished) {
-                        if clock.retried {
-                            abort_op = true;
-                        } else {
-                            clock.retried = true;
-                            clock.started = Instant::now();
-                            clock.started_interval = current_interval;
-                            match op {
-                                ActiveOp::Migration(m) => {
-                                    injector.record(FaultEvent::OpRetried {
-                                        op: OpKind::Migrate,
-                                        epoch: m.epoch,
-                                    });
-                                    if !m.pause_acked {
-                                        send_src(
-                                            &injector,
-                                            &ctl_tx,
-                                            Some(CtlKind::Pause),
-                                            SourceCtl::Pause {
-                                                epoch: m.epoch,
-                                                affected: m.plan.affected.clone(),
-                                            },
-                                        );
-                                    } else if !m.awaiting_out.is_empty() {
-                                        let stuck: Vec<TaskId> =
-                                            m.awaiting_out.iter().copied().collect();
-                                        for w in stuck {
-                                            if dead.contains(&w.index()) {
-                                                continue;
-                                            }
-                                            let moves = m
-                                                .plan
-                                                .by_source
-                                                .get(&w)
-                                                .cloned()
-                                                .unwrap_or_default();
-                                            send_ctl_marker(
-                                                &injector,
-                                                &worker_txs,
-                                                w.index(),
-                                                CtlKind::MigrateOut,
-                                                Message::MigrateOut {
-                                                    epoch: m.epoch,
-                                                    moves,
-                                                },
-                                            );
-                                        }
-                                    } else {
-                                        resend_installs(
-                                            m.epoch,
-                                            &m.sent_installs,
-                                            &m.awaiting_install,
-                                            &dead,
-                                            &injector,
-                                            &worker_txs,
-                                        );
-                                    }
-                                }
-                                ActiveOp::Retire(r) => {
-                                    injector.record(FaultEvent::OpRetried {
-                                        op: OpKind::Retire,
-                                        epoch: r.epoch,
-                                    });
-                                    if !r.pause_acked {
-                                        send_src(
-                                            &injector,
-                                            &ctl_tx,
-                                            Some(CtlKind::Pause),
-                                            SourceCtl::PauseDest {
-                                                epoch: r.epoch,
-                                                dest: r.victim,
-                                            },
-                                        );
-                                    } else if retiring == Some(r.victim) {
-                                        send_ctl_marker(
-                                            &injector,
-                                            &worker_txs,
-                                            r.victim.index(),
-                                            CtlKind::Retire,
-                                            Message::Retire { epoch: r.epoch },
-                                        );
-                                    } else {
-                                        resend_installs(
-                                            r.epoch,
-                                            &r.sent_installs,
-                                            &r.awaiting_install,
-                                            &dead,
-                                            &injector,
-                                            &worker_txs,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if abort_op {
-                    if let Some(op) = pending.take() {
-                        op_clock = None;
-                        match op {
-                            ActiveOp::Migration(m) => {
-                                injector.record(FaultEvent::OpAborted {
-                                    op: OpKind::Migrate,
-                                    epoch: m.epoch,
-                                });
-                                closed_epochs.insert(m.epoch, "aborted");
-                                // Close the span Aborted *before* the
-                                // rollback resume goes out, so the resume
-                                // phase (and its ack) cannot land on a
-                                // closed span.
-                                if open_spans.remove(&m.epoch) {
-                                    rec.span_close(m.epoch, Outcome::Aborted);
-                                }
-                                // Roll the routing back: every affected
-                                // key returns to its origin (diverted
-                                // past corpses). State still in hand
-                                // (`collected`) is re-installed under a
-                                // fresh pre-closed epoch; state already
-                                // delivered stays where it landed —
-                                // re-sending it could double-count, and
-                                // per-key counts merge at shutdown
-                                // regardless of which slot holds them.
-                                let n_tasks = partitioner.n_tasks();
-                                let mut origin_of: FxHashMap<Key, TaskId> = FxHashMap::default();
-                                let mut reverse: Vec<(Key, TaskId)> = Vec::new();
-                                for (&src, moves) in &m.plan.by_source {
-                                    let home = divert(src, n_tasks, |x| dead.contains(&x));
-                                    for &(k, _) in moves {
-                                        reverse.push((k, home));
-                                        origin_of.insert(k, home);
-                                    }
-                                }
-                                partitioner.apply_moves(&reverse);
-                                next_epoch += 1;
-                                closed_epochs.insert(next_epoch, "rollback");
-                                let mut by_origin: FxHashMap<TaskId, Vec<(Key, Bytes)>> =
-                                    FxHashMap::default();
-                                for (k, _to, blob) in m.collected {
-                                    let Some(&home) = origin_of.get(&k) else {
-                                        continue;
-                                    };
-                                    by_origin.entry(home).or_default().push((k, blob));
-                                }
-                                // The rollback is its own span on the fresh
-                                // pre-closed epoch: its installs and the
-                                // resume happen synchronously right here,
-                                // so it opens and closes in one breath.
-                                rec.span_open(next_epoch, OpLabel::Rollback);
-                                if !by_origin.is_empty() {
-                                    rec.span_phase(next_epoch, Phase::Install);
-                                }
-                                for (dst, states) in by_origin {
-                                    ctl_send(
-                                        &injector,
-                                        &worker_txs[dst.index()],
-                                        dst.index(),
-                                        Message::StateInstall {
-                                            epoch: next_epoch,
-                                            states,
-                                        },
-                                    );
-                                }
-                                rec.span_phase(next_epoch, Phase::Resume);
-                                issue_resume(
-                                    &injector,
-                                    &ctl_tx,
-                                    &mut resume_state,
-                                    &mut rec,
-                                    &open_spans,
-                                    m.epoch,
-                                    partitioner.routing_view(),
-                                    current_interval,
-                                );
-                                rec.span_close(next_epoch, Outcome::Completed);
-                            }
-                            ActiveOp::Retire(r) => {
-                                injector.record(FaultEvent::OpAborted {
-                                    op: OpKind::Retire,
-                                    epoch: r.epoch,
-                                });
-                                closed_epochs.insert(r.epoch, "aborted");
-                                if open_spans.remove(&r.epoch) {
-                                    rec.span_close(r.epoch, Outcome::Aborted);
-                                }
-                                // The routing already shrank at decision
-                                // time, so resume under the retire's view:
-                                // a still-live victim becomes a routed-
-                                // around zombie that drains at shutdown
-                                // with its state intact; a late `Retired`
-                                // is absorbed by the closed epoch.
-                                if retiring == Some(r.victim) {
-                                    retiring = None;
-                                }
-                                issue_resume(
-                                    &injector,
-                                    &ctl_tx,
-                                    &mut resume_state,
-                                    &mut rec,
-                                    &open_spans,
-                                    r.epoch,
-                                    r.view,
-                                    current_interval,
-                                );
-                            }
-                        }
-                    }
-                }
-
-                // Resume deadline: re-drive, forever — an abandoned
-                // resume would strand pause-buffered tuples at the
-                // source (unaccounted loss) and hang shutdown. Only the
-                // first re-drive is ledgered; the source absorbs
-                // duplicates by epoch.
-                let mut redrive: Vec<(u64, RoutingView)> = Vec::new();
-                for (&epoch, rc) in resume_state.iter_mut() {
-                    let wall_ok = rc.started.elapsed() < config.op_deadline;
-                    let iv_ok =
-                        current_interval < rc.started_interval + config.op_deadline_intervals;
-                    if wall_ok || (iv_ok && !source_finished) {
-                        continue;
-                    }
-                    if !rc.retried {
-                        rc.retried = true;
-                        injector.record(FaultEvent::OpRetried {
-                            op: OpKind::Resume,
-                            epoch,
-                        });
-                    }
-                    rc.started = Instant::now();
-                    rc.started_interval = current_interval;
-                    redrive.push((epoch, rc.view.clone()));
-                }
-                for (epoch, view) in redrive {
-                    send_src(
-                        &injector,
-                        &ctl_tx,
-                        Some(CtlKind::Resume),
-                        SourceCtl::Resume { epoch, view },
-                    );
-                }
-
-                // Start the next queued control-plane op when idle.
-                if pending.is_none() {
-                    if let Some(op) = queue.pop_front() {
-                        match op {
-                            PlannedOp::Migrate(mut plan) => {
-                                // Movers that died since planning hold no
-                                // state (lost and accounted at death);
-                                // their keys still move in the view.
-                                plan.by_source.retain(|src, _| !dead.contains(&src.index()));
-                                next_epoch += 1;
-                                // The span id is the op epoch: Plan marks
-                                // the pop, Pause marks the quiesce request
-                                // going out.
-                                rec.span_open(next_epoch, plan.label);
-                                rec.span_phase(next_epoch, Phase::Plan);
-                                rec.span_phase(next_epoch, Phase::Pause);
-                                open_spans.insert(next_epoch);
-                                send_src(
-                                    &injector,
-                                    &ctl_tx,
-                                    Some(CtlKind::Pause),
-                                    SourceCtl::Pause {
-                                        epoch: next_epoch,
-                                        affected: plan.affected.clone(),
-                                    },
-                                );
-                                op_clock = Some(OpClock::start(current_interval));
-                                pending = Some(ActiveOp::Migration(ActiveMigration {
-                                    epoch: next_epoch,
-                                    plan,
-                                    pause_acked: false,
-                                    awaiting_out: FxHashSet::default(),
-                                    collected: Vec::new(),
-                                    awaiting_install: FxHashSet::default(),
-                                    sent_installs: FxHashMap::default(),
-                                    state_out_marked: false,
-                                }));
-                            }
-                            PlannedOp::ScaleIn { victim, view }
-                                if dead.contains(&victim.index()) =>
-                            {
-                                // The victim died before its retirement
-                                // started: state accounted, keys already
-                                // re-routed. Finalize the width
-                                // bookkeeping and publish the shrunk
-                                // view; no pause is needed because the
-                                // source diverts the slot anyway.
-                                dead.remove(&victim.index());
-                                active -= 1;
-                                debug_assert_eq!(victim.index(), active);
-                                ws.set_active(Instant::now(), active - dead.len());
-                                send_src(&injector, &ctl_tx, None, SourceCtl::UpdateView { view });
-                            }
-                            PlannedOp::ScaleIn { victim, view } => {
-                                next_epoch += 1;
-                                rec.span_open(next_epoch, OpLabel::ScaleIn);
-                                rec.span_phase(next_epoch, Phase::Plan);
-                                rec.span_phase(next_epoch, Phase::Pause);
-                                open_spans.insert(next_epoch);
-                                send_src(
-                                    &injector,
-                                    &ctl_tx,
-                                    Some(CtlKind::Pause),
-                                    SourceCtl::PauseDest {
-                                        epoch: next_epoch,
-                                        dest: victim,
-                                    },
-                                );
-                                op_clock = Some(OpClock::start(current_interval));
-                                pending = Some(ActiveOp::Retire(ActiveRetire {
-                                    epoch: next_epoch,
-                                    victim,
-                                    view,
-                                    pause_acked: false,
-                                    retire_sent: false,
-                                    awaiting_install: FxHashSet::default(),
-                                    sent_installs: FxHashMap::default(),
-                                }));
-                            }
-                        }
-                    }
-                }
-
-                // Shutdown when fully quiesced. `resume_state` guards
-                // the flush race: the source must confirm it has
-                // re-enqueued all pause-buffered tuples before Shutdown
-                // markers enter the worker channels behind them.
-                // `dead_pending` guards loss accounting: a dead slot's
-                // channel backlog must be counted before teardown.
-                if source_finished
-                    && !draining
-                    && pending.is_none()
-                    && queue.is_empty()
-                    && ledger.outstanding() == 0
-                    && resume_state.is_empty()
-                    && dead_pending.is_empty()
-                {
-                    draining = true;
-                    drain_target = 0;
-                    for (i, tx) in worker_txs.iter().enumerate().take(active) {
-                        if dead.contains(&i) {
-                            continue;
-                        }
-                        // A slot whose Shutdown did not land (timeout or
-                        // disconnect) is left out of the drain target;
-                        // its thread still exits when the channel
-                        // disconnects at teardown.
-                        if ctl_send(&injector, tx, i, Message::Shutdown) {
-                            drain_target += 1;
-                        }
-                    }
-                    if drained >= drain_target {
-                        break 'ctl;
-                    }
+                ctl.tick();
+                for w in ctl.take_spawns() {
+                    spawner.spawn(s, w);
                 }
             }
 
-            // All workers drained. Close the worker-seconds integral and
-            // tear down the auxiliaries. The spawner holds a
-            // collector-sender clone; it must drop before the collector
-            // join, or the collector never observes closure.
-            report.worker_seconds = ws.finish(Instant::now());
+            // All workers drained. Tear down the auxiliaries. The spawner
+            // holds a collector-sender clone; it must drop before the
+            // collector join, or the collector never observes closure.
+            let (mut report, mut rec, leftover) = ctl.into_report(Instant::now());
             // Disconnect here means the source already exited (it only
             // does so on Shutdown or panic; a panic is surfaced by the
             // join below) — nothing to tell it.
             let _ = ctl_tx.send(SourceCtl::Shutdown);
             drop(spawner);
             drop(col_tx);
-            // Join the source before taking the ledger: it records
-            // (drop ordinals, send failures) until it exits, and a
-            // ledger taken while it still runs could miss a tail entry.
+            // Join the source before taking the ledger: it records (drop
+            // ordinals, send failures) until it exits.
             if src_handle.join().is_err() {
                 report
                     .protocol_errors
                     .push(ProtocolError::ThreadPanicked { thread: "source" });
             }
             report.faults = injector.take_ledger();
-            let mut lost_tuples: Vec<(Key, u64)> = lost.into_iter().collect();
-            lost_tuples.sort_unstable_by_key(|&(k, _)| k);
-            report.lost_tuples = lost_tuples;
             if let Some(h) = col_handle {
                 match h.join() {
                     Ok(r) => report.collector_result = r,
@@ -2282,20 +541,18 @@ impl Engine {
                     }),
                 }
             }
-            // Every thread's recorder has flushed by now (workers drained,
-            // source and collector joined). Force-close any span still
-            // open — an op the teardown outran — as Abandoned, in epoch
-            // order, then merge the run's trace into the report.
-            let mut leftover: Vec<u64> = open_spans.drain().collect();
-            leftover.sort_unstable();
+            // Every thread's recorder has flushed by now. Force-close any
+            // span still open — an op the teardown outran — as Abandoned,
+            // then merge the run's trace into the report.
             for epoch in leftover {
                 rec.span_close(epoch, Outcome::Abandoned);
             }
             drop(rec);
             report.trace = sink.take_log();
-            report.final_states.sort_unstable_by_key(|&(k, _)| k);
+            report
         });
 
+        report.final_states.sort_unstable_by_key(|&(k, _)| k);
         report.wall = t0.elapsed();
         report.mean_throughput = report.processed as f64 / report.wall.as_secs_f64().max(1e-9);
         report
@@ -2348,7 +605,7 @@ struct SourcePlane {
     batch: usize,
     /// Dead worker slots (`DeadDest`, or a send failure observed first-
     /// hand): routed tuples divert past them in [`SourcePlane::send_msg`]
-    /// until a `ReviveDest` swaps in a fresh channel.
+    /// until a `ProvisionDest` swaps in a fresh channel.
     dead: FxHashSet<usize>,
     /// Shared fault injector: ack sends honour injected control drops.
     injector: Arc<FaultInjector>,
@@ -2576,7 +833,7 @@ impl SourcePlane {
                 }
                 let _ = self.events.send(SourceEvent::DeadDestAck { dest });
             }
-            SourceCtl::ReviveDest { dest, tx } => {
+            SourceCtl::ProvisionDest { dest, tx } => {
                 self.worker_txs[dest.index()] = tx;
                 self.dead.remove(&dest.index());
             }
@@ -2695,6 +952,7 @@ mod tests {
     use streambal_baselines::HashPartitioner;
     use streambal_core::{BalanceParams, RebalanceStrategy};
     use streambal_elastic::{FixedSchedule, ScaleDecision};
+    use streambal_hashring::FxHashMap;
     use streambal_workloads::FluctuatingWorkload;
 
     /// Reference word counts for a tuple sequence.
@@ -3222,6 +1480,123 @@ mod tests {
             None,
         );
         assert_eq!(report.processed, 1000);
+    }
+
+    /// A retire whose victim dies mid-drain still finishes the retire:
+    /// the slot leaves the dead set and the physical width shrinks to
+    /// the planned one, so a later `ScaleOut` widens (and records a
+    /// scale event) instead of reviving a slot outside the routing
+    /// width. The dropped `PauseAck` keeps the retire in flight; the
+    /// feeder holds interval 2 back until the policy has decided the
+    /// scale-in, so the victim's kill at interval 2 lands while the
+    /// retire is pending.
+    #[test]
+    fn retire_whose_victim_dies_mid_drain_shrinks_the_width() {
+        use crate::fault::{CtlKind, FaultSpec};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use streambal_elastic::IntervalObservation;
+
+        #[derive(Debug, Clone)]
+        struct SignalScaleIn {
+            inner: FixedSchedule,
+            decided: Arc<AtomicBool>,
+        }
+        impl ElasticityPolicy for SignalScaleIn {
+            fn name(&self) -> String {
+                self.inner.name()
+            }
+            fn decide(&mut self, obs: &IntervalObservation) -> ScaleDecision {
+                let d = self.inner.decide(obs);
+                if d == ScaleDecision::ScaleIn {
+                    self.decided.store(true, Ordering::SeqCst);
+                }
+                d
+            }
+            fn box_clone(&self) -> Box<dyn ElasticityPolicy> {
+                Box::new(self.clone())
+            }
+        }
+
+        let mut w = FluctuatingWorkload::new(150, 0.8, 2_000, 0.0, 83);
+        let intervals: Vec<Vec<Key>> = (0..8).map(|_| w.tuples()).collect();
+        let expect = reference_counts(&intervals);
+        let decided = Arc::new(AtomicBool::new(false));
+        let policy = SignalScaleIn {
+            inner: FixedSchedule::new([(1, ScaleDecision::ScaleIn), (5, ScaleDecision::ScaleOut)]),
+            decided: Arc::clone(&decided),
+        };
+        let config = EngineConfig {
+            elasticity: Box::new(policy),
+            fault_plan: FaultPlan::new(vec![
+                FaultSpec::DropCtl {
+                    kind: CtlKind::PauseAck,
+                    nth: 1,
+                },
+                FaultSpec::KillWorker {
+                    worker: 2,
+                    at_interval: 2,
+                },
+            ]),
+            ..small_config()
+        };
+        let feed = intervals.clone();
+        let report = Engine::run(
+            config,
+            Box::new(HashPartitioner::new(3)),
+            |_| Box::new(WordCountOp::new()),
+            move |iv| {
+                if iv == 2 {
+                    let t = Instant::now();
+                    while !decided.load(Ordering::SeqCst) && t.elapsed() < Duration::from_secs(60) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                feed.get(iv as usize)
+                    .map(|ks| ks.iter().map(|&k| Tuple::keyed(k)).collect())
+            },
+            None,
+        );
+        assert!(
+            report
+                .faults
+                .contains(&FaultEvent::WorkerDead { worker: 2 }),
+            "the victim did not die: {:?}",
+            report.faults
+        );
+        assert_eq!(
+            report.scale_events,
+            vec![
+                ScaleEvent {
+                    interval: 1,
+                    from: 3,
+                    to: 2
+                },
+                ScaleEvent {
+                    interval: 5,
+                    from: 2,
+                    to: 3
+                },
+            ],
+            "the later scale-out must widen (faults: {:?})",
+            report.faults
+        );
+        assert!(
+            !report
+                .faults
+                .contains(&FaultEvent::SlotRevived { worker: 2 }),
+            "a slot outside the routing width was revived: {:?}",
+            report.faults
+        );
+        assert!(
+            report.protocol_errors.is_empty(),
+            "{:?}",
+            report.protocol_errors
+        );
+        let mut got = decode_counts(&report.final_states);
+        for &(k, n) in &report.lost_tuples {
+            *got.entry(k).or_insert(0) += n;
+        }
+        assert_eq!(got, expect, "fed == observed + lost");
     }
 
     #[test]

@@ -35,7 +35,11 @@
 //!   rebalance; ③④ broadcast the plan and pause affected keys at the
 //!   source (which buffers them); ⑤ migrate key state between workers via
 //!   in-band messages; ⑥ collect acks; ⑦ resume with the new routing
-//!   table. Tuples of unaffected keys keep flowing throughout.
+//!   table. Tuples of unaffected keys keep flowing throughout. It is a
+//!   state machine with no threads (`controller.rs`, kept thread-free by
+//!   lint rule L009): the engine's event loop on the calling thread
+//!   hands it every source and worker event, ticks it, and spawns the
+//!   workers it provisions.
 //!
 //! In-band delivery over FIFO channels gives exactly-once state movement,
 //! and the argument survives batching unchanged because batches and
@@ -90,9 +94,10 @@
 //! the victim's backlog, re-install its entire drained state at each
 //! key's new home, and only then resume under the shrunk view. The
 //! FIFO-consistency argument is spelled out in the `streambal-elastic`
-//! crate docs; the retired slot's channel survives (the receiver travels
-//! back in the `Retired` event), so a later scale-out can re-provision
-//! the same slot mid-run.
+//! crate docs. The retired worker's channel dies with it; a later
+//! scale-out provisions the slot on a fresh channel, exactly as it
+//! revives a dead one, and hands the source the new sender before any
+//! view routes there.
 //!
 //! CPU saturation is emulated by `spin_work` busy-iterations per tuple,
 //! mirroring the paper's "controlling the latency on tuple processing to
@@ -156,7 +161,9 @@
 //!   not leaked*: every tuple it absorbed is tallied per key in
 //!   `EngineReport::lost_tuples`, so the accounting invariant
 //!   `fed == observed + lost` holds for every key on every run. A dead
-//!   slot stays revivable — a later scale-out re-provisions it.
+//!   slot stays revivable — a later scale-out re-provisions it — unless
+//!   it was a scale-in's victim: that retire finishes anyway, and the
+//!   slot leaves the width.
 //! * **Lost control messages** (`DropCtl`): pause/resume/migrate/stats
 //!   markers are dropped at injection points. Every in-flight protocol
 //!   op carries a deadline (wall clock ∧ interval clock, see

@@ -44,8 +44,7 @@ pub enum Message {
     },
     /// Scale-in: drain the backlog already in the channel (FIFO puts this
     /// marker behind it), extract *all* remaining key state, report it
-    /// with [`WorkerEvent::Retired`] — channel receiver included, so the
-    /// slot can be re-provisioned later — and exit.
+    /// with [`WorkerEvent::Retired`], and exit.
     Retire {
         /// The scale-in epoch (same counter as migration epochs).
         epoch: u64,
@@ -88,7 +87,9 @@ pub enum WorkerEvent {
         epoch: u64,
     },
     /// Response to [`Message::Retire`]: everything the controller needs
-    /// to re-home the victim's state and later reuse its slot.
+    /// to re-home the victim's state and close its books. The worker
+    /// exits after sending it and its channel dies with it; a later
+    /// scale-out provisions the slot on a fresh channel.
     Retired {
         /// The retiring worker.
         worker: TaskId,
@@ -110,10 +111,6 @@ pub enum WorkerEvent {
         /// processed any (time-to-first-tuple instrumentation for
         /// scale-out pre-placement).
         first_interval: Option<u64>,
-        /// The worker's channel receiver, handed back so the slot's
-        /// channel stays connected (messages can never be silently
-        /// dropped) and a later scale-out can respawn on the same slot.
-        rx: crossbeam::channel::Receiver<Message>,
     },
     /// A controlled worker death fired by the fault-injection layer
     /// (standing in for a crashed process). Carries everything the
@@ -210,10 +207,12 @@ pub enum SourceCtl {
         /// (applied via the router's incremental delta path).
         moves: Vec<(Key, TaskId)>,
     },
-    /// A dead slot was re-provisioned by a scale-out: swap in the fresh
-    /// channel sender and stop diverting traffic away from it.
-    ReviveDest {
-        /// The revived destination.
+    /// A slot was provisioned on a fresh channel by a scale-out —
+    /// widened onto the tail or revived after a death: swap in its
+    /// sender and stop diverting traffic away from it. Sent before any
+    /// view that routes to the slot.
+    ProvisionDest {
+        /// The provisioned destination.
         dest: TaskId,
         /// Sender for the slot's new channel.
         tx: crossbeam::channel::Sender<crate::message::Message>,

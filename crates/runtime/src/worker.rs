@@ -410,9 +410,9 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
                 // batch the source sent before the pause ack, so the
                 // backlog is fully processed — drain *all* remaining
                 // state (windowed state outlives the statistics that
-                // created it) and hand everything back, including the
-                // receiver, so the slot's channel stays connected for a
-                // later re-provision.
+                // created it) and hand everything back. The channel dies
+                // with this thread; a later scale-out provisions the
+                // slot on a fresh one.
                 ctx.op.flush(&mut |t| emitter.emit(t));
                 emitter.flush();
                 if !returns.is_empty() {
@@ -428,7 +428,6 @@ pub(crate) fn run_worker(mut ctx: WorkerCtx) {
                     processed,
                     latency,
                     first_interval,
-                    rx: ctx.rx,
                 });
                 return;
             }
@@ -695,10 +694,10 @@ mod tests {
     }
 
     /// Retire must process the whole backlog first (FIFO), then hand back
-    /// every piece of state, the lifetime metrics, and the still-usable
-    /// channel receiver.
+    /// every piece of state and the lifetime metrics, and exit — taking
+    /// its channel with it.
     #[test]
-    fn retire_drains_backlog_and_returns_receiver() {
+    fn retire_drains_backlog_and_hands_back_all_state() {
         let (tx, erx, _pool, h) = spawn_worker(100);
         tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(1)); 3]))
             .unwrap();
@@ -711,7 +710,6 @@ mod tests {
                 states,
                 processed,
                 latency,
-                rx,
                 ..
             } => {
                 assert_eq!(epoch, 9);
@@ -719,15 +717,15 @@ mod tests {
                 assert_eq!(latency.count(), 4);
                 let keys: Vec<u64> = states.iter().map(|(k, _)| k.raw()).collect();
                 assert_eq!(keys, vec![1, 2], "all state handed back");
-                // The channel stayed connected: a respawn on the same
-                // slot picks up right where the retiree left.
-                tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(3))]))
-                    .unwrap();
-                assert!(matches!(rx.recv().unwrap(), Message::TupleBatch(_)));
             }
             other => panic!("unexpected {other:?}"),
         }
         h.join().unwrap();
+        assert!(
+            tx.send(Message::TupleBatch(vec![Tuple::keyed(Key(3))]))
+                .is_err(),
+            "the retired worker's channel must be disconnected"
+        );
     }
 
     #[test]

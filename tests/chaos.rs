@@ -20,11 +20,12 @@ use streambal::baselines::{
     ShufflePartitioner,
 };
 use streambal::core::{BalanceParams, RebalanceStrategy};
+use streambal::elastic::{FixedSchedule, ScaleDecision};
 use streambal::hashring::FxHashMap;
 use streambal::prelude::{Key, Partitioner, TaskId};
 use streambal::runtime::{
     Collector, CtlKind, Engine, EngineConfig, EngineReport, FaultEvent, FaultPlan, FaultSpec,
-    KillTrigger, OpKind, SumCollector, Tuple, WordCountOp,
+    KillTrigger, OpKind, ScaleEvent, SumCollector, Tuple, WordCountOp,
 };
 use streambal::workloads::FluctuatingWorkload;
 
@@ -425,4 +426,184 @@ fn seeded_sweep_accounts_every_tuple_across_partitioners() {
             assert_accounted(&label, &report, &expect, preserves);
         }
     }
+}
+
+/// The chaos config with one scheduled scale-in, 3 → 2 after the first
+/// interval, and a spare slot, over hash partitioning: nothing but the
+/// retire moves state, so the retire's markers and installs are the
+/// only ones the fault plan can hit.
+fn retire_config(plan: FaultPlan) -> EngineConfig {
+    EngineConfig {
+        max_workers: N_TASKS + 1,
+        elasticity: Box::new(FixedSchedule::new([(1, ScaleDecision::ScaleIn)])),
+        ..chaos_config(plan)
+    }
+}
+
+/// Every span the run opened closed exactly once, in protocol order.
+fn assert_spans_close_once(label: &str, report: &EngineReport) {
+    let problems = report.trace.check_integrity();
+    assert!(problems.is_empty(), "{label}: span problems: {problems:?}");
+}
+
+fn assert_retired_once(label: &str, report: &EngineReport) {
+    assert_eq!(
+        report.scale_events,
+        vec![ScaleEvent {
+            interval: 1,
+            from: N_TASKS,
+            to: N_TASKS - 1,
+        }],
+        "{label}: (faults: {:?})",
+        report.faults
+    );
+}
+
+/// A dropped `Retire` marker leaves the victim draining forever unless
+/// the op deadline re-drives it: the second marker must land, the
+/// victim must retire, and the run must stay exact.
+#[test]
+fn dropped_retire_marker_is_redriven_and_stays_exact() {
+    let expect = reference_counts(&keyed_intervals());
+    let plan = FaultPlan::new(vec![FaultSpec::DropCtl {
+        kind: CtlKind::Retire,
+        nth: 1,
+    }]);
+    let label = "drop-retire";
+    let report = run_chaos(
+        label,
+        retire_config(plan),
+        Box::new(HashPartitioner::new(N_TASKS)),
+    );
+    assert_retired_once(label, &report);
+    assert!(
+        report.faults.contains(&FaultEvent::InjectedDrop {
+            kind: CtlKind::Retire,
+            nth: 1,
+        }),
+        "{label}: drop did not fire: {:?}",
+        report.faults
+    );
+    assert!(
+        report.faults.iter().any(|f| matches!(
+            f,
+            FaultEvent::OpRetried {
+                op: OpKind::Retire,
+                ..
+            }
+        )),
+        "{label}: dropped marker was never re-driven: {:?}",
+        report.faults
+    );
+    assert!(
+        !report
+            .faults
+            .iter()
+            .any(|f| matches!(f, FaultEvent::OpAborted { .. })),
+        "{label}: the re-driven retire aborted: {:?}",
+        report.faults
+    );
+    assert!(
+        report.lost_tuples.is_empty(),
+        "{label}: lossless fault lost tuples: {:?}",
+        report.lost_tuples
+    );
+    assert_accounted(label, &report, &expect, true);
+    assert_spans_close_once(label, &report);
+}
+
+/// Both the `Retire` marker and its re-drive are dropped: the op
+/// aborts, the victim never hears of it and stays alive as a zombie
+/// outside the routing width, and it drains at shutdown with its state
+/// intact — so the run is still exact.
+#[test]
+fn twice_dropped_retire_aborts_and_the_zombie_drains_exactly() {
+    let expect = reference_counts(&keyed_intervals());
+    let plan = FaultPlan::new(vec![
+        FaultSpec::DropCtl {
+            kind: CtlKind::Retire,
+            nth: 1,
+        },
+        FaultSpec::DropCtl {
+            kind: CtlKind::Retire,
+            nth: 2,
+        },
+    ]);
+    let label = "drop-retire-twice";
+    let report = run_chaos(
+        label,
+        retire_config(plan),
+        Box::new(HashPartitioner::new(N_TASKS)),
+    );
+    assert_retired_once(label, &report);
+    for nth in [1, 2] {
+        assert!(
+            report.faults.contains(&FaultEvent::InjectedDrop {
+                kind: CtlKind::Retire,
+                nth,
+            }),
+            "{label}: drop #{nth} did not fire: {:?}",
+            report.faults
+        );
+    }
+    assert!(
+        report.faults.iter().any(|f| matches!(
+            f,
+            FaultEvent::OpAborted {
+                op: OpKind::Retire,
+                ..
+            }
+        )),
+        "{label}: the retire was never aborted: {:?}",
+        report.faults
+    );
+    assert!(
+        report.lost_tuples.is_empty(),
+        "{label}: the zombie's state was lost: {:?}",
+        report.lost_tuples
+    );
+    assert!(
+        report.per_worker_processed[N_TASKS - 1] > 0,
+        "{label}: the zombie processed nothing: {:?}",
+        report.per_worker_processed
+    );
+    assert_accounted(label, &report, &expect, true);
+    assert_spans_close_once(label, &report);
+}
+
+/// A destination of the retire's re-homed state dies on the install:
+/// the blobs it was handed exist nowhere else, so they are accounted
+/// lost, the op still completes, and every other tuple is observed.
+#[test]
+fn kill_on_retire_install_accounts_the_rehomed_state() {
+    let expect = reference_counts(&keyed_intervals());
+    let plan = FaultPlan::new(vec![FaultSpec::KillOnInstall { worker: 1, nth: 1 }]);
+    let label = "kill-on-retire-install(1)";
+    let report = run_chaos(
+        label,
+        retire_config(plan),
+        Box::new(HashPartitioner::new(N_TASKS)),
+    );
+    assert_retired_once(label, &report);
+    assert!(
+        report.faults.contains(&FaultEvent::InjectedKill {
+            worker: 1,
+            trigger: KillTrigger::Install(1),
+        }),
+        "{label}: kill did not fire: {:?}",
+        report.faults
+    );
+    assert!(
+        report
+            .faults
+            .contains(&FaultEvent::WorkerDead { worker: 1 }),
+        "{label}: death not observed: {:?}",
+        report.faults
+    );
+    assert!(
+        !report.lost_tuples.is_empty(),
+        "{label}: the dead destination's state was not accounted"
+    );
+    assert_accounted(label, &report, &expect, true);
+    assert_spans_close_once(label, &report);
 }
